@@ -15,8 +15,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use brsmn_bench::dense_batch;
 use brsmn_core::{
-    plan_fingerprint, BatchPlanner, Brsmn, MulticastAssignment, PlanCache, RouteScratch,
-    StageTimer,
+    canonicalize, plan_fingerprint, relabel_inputs, relabel_outputs, BatchPlanner, Brsmn,
+    MulticastAssignment, PlanCache, RouteScratch, StageTimer,
 };
 use std::sync::Arc;
 
@@ -123,6 +123,59 @@ fn warm_plan_cache_hit_allocates_nothing() {
         "warm plan-cache hit allocated in steady state at n={n}"
     );
     assert!(delivered > 0, "workload delivered nothing");
+}
+
+#[test]
+fn canonical_hit_allocates_only_its_form_maps_and_result() {
+    // A canonical-tier hit is low-allocation, not zero: canonicalizing the
+    // probe builds its canonical form, the hit composes two permutation
+    // maps, and the permuted replay returns a fresh result. Nothing else
+    // may allocate — not the probe, not the replay, not its checks.
+    let n = 256;
+    let net = Brsmn::new(n).unwrap();
+    let batch = dense_batch(n, 8, 3);
+    let mut scratch = RouteScratch::new(n).unwrap();
+
+    // Seed the canonical tier with a relabeled member of each frame's
+    // class, so every probe below hits canonically.
+    let rot: Vec<usize> = (0..n).map(|i| (i + 37) % n).collect();
+    let cache = PlanCache::new(64);
+    for asg in &batch {
+        let member = relabel_inputs(&relabel_outputs(asg, &rot), &rot);
+        let (_, plan) = net.route_capture(&member, &mut scratch).unwrap();
+        cache.insert_canonical(&canonicalize(&member), Arc::new(plan));
+    }
+
+    let mut hit = |asg: &MulticastAssignment| {
+        let canon = canonicalize(asg);
+        let hit = cache.lookup_canonical(&canon).expect("seeded class hits");
+        let r = net
+            .route_replay_permuted(asg, &hit.plan, &hit.input_map, &hit.output_map, &mut scratch)
+            .unwrap();
+        assert!(r.realizes(asg));
+    };
+    // Warm up the permuted replay path once per frame shape.
+    for asg in &batch {
+        hit(asg);
+    }
+
+    for asg in &batch {
+        // The canonical form: the fanout order, the two canonicalization
+        // permutations, the representative's set table, and one set per
+        // active input.
+        let form = 4 + asg.active_inputs() as u64;
+        // The two composed live → plan maps, and the result.
+        let expected = form + 2 + 1;
+        let before = allocs();
+        hit(asg);
+        let after = allocs();
+        assert_eq!(
+            after - before,
+            expected,
+            "canonical hit at n={n} with {} active inputs",
+            asg.active_inputs()
+        );
+    }
 }
 
 #[test]

@@ -91,7 +91,7 @@ impl From<SizeError> for AssignmentError {
 /// assert_eq!(asg.source_of_output(4), Some(2));
 /// assert!(!asg.is_permutation()); // input 2 has fanout 3
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MulticastAssignment {
     n: usize,
     /// `dests[i]` is `I_i`, sorted ascending.
@@ -129,6 +129,18 @@ impl MulticastAssignment {
             dests.push(uniq.into_iter().collect());
         }
         Ok(MulticastAssignment { n, dests })
+    }
+
+    /// Wraps destination sets that are valid by construction — sorted,
+    /// pairwise disjoint, in range, one per input — without re-validating
+    /// them; the caller owns disjointness. Debug builds check the rest
+    /// without allocating.
+    pub(crate) fn from_valid_sets(n: usize, dests: Vec<Vec<usize>>) -> Self {
+        debug_assert!(check_size(n).is_ok() && dests.len() == n);
+        debug_assert!(dests
+            .iter()
+            .all(|d| d.windows(2).all(|w| w[0] < w[1]) && d.last().is_none_or(|&x| x < n)));
+        MulticastAssignment { n, dests }
     }
 
     /// The empty assignment (no input carries a message).
@@ -211,6 +223,29 @@ impl MulticastAssignment {
         format!("{{{}}}", parts.join(", "))
     }
 }
+
+/// Equality compares `n`, then every set's length, and only then the
+/// contents of the non-empty sets. Most inputs of a sparse frame are idle,
+/// and comparing their lengths is much cheaper than comparing the empty
+/// slices themselves; this is the plan cache's collision guard on every hit.
+impl PartialEq for MulticastAssignment {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n
+            && self.dests.len() == other.dests.len()
+            && self
+                .dests
+                .iter()
+                .zip(&other.dests)
+                .all(|(a, b)| a.len() == b.len())
+            && self
+                .dests
+                .iter()
+                .zip(&other.dests)
+                .all(|(a, b)| a.is_empty() || a == b)
+    }
+}
+
+impl Eq for MulticastAssignment {}
 
 impl fmt::Display for MulticastAssignment {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

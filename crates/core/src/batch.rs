@@ -265,7 +265,7 @@ impl BatchPlanner {
                 }
                 timer.record_final(t0.elapsed());
             }
-            verify_delivery(asg, frame_lines)?;
+            verify_delivery(asg, frame_lines.iter().map(|l| l.src))?;
         }
 
         // Drain the lockstep sweep's per-op profile into the batch timer.

@@ -207,9 +207,10 @@ impl Brsmn {
     /// Replays a captured plan for `asg`: executes the snapshotted setting
     /// planes through the iterative level-order router with **zero**
     /// planning and zero steady-state allocation beyond the result `Vec`.
-    /// The result is bit-identical to fresh routing of the same assignment;
-    /// replaying against a *different* assignment fails delivery
-    /// verification rather than misrouting silently.
+    /// The result is bit-identical to fresh routing of the same assignment.
+    /// Replaying against a *different* assignment returns an error whenever
+    /// the replay misdelivers or drops any of `asg`'s messages; it returns
+    /// `Ok` only when the delivery realizes `asg` exactly.
     pub fn route_replay(
         &self,
         asg: &MulticastAssignment,
@@ -268,8 +269,9 @@ impl Brsmn {
     /// composed from two [`crate::canonicalize`] runs — see
     /// [`crate::PlanCache::lookup_canonical`], which hands back exactly
     /// these maps). The result is bit-identical to fresh planning of `asg`
-    /// itself; an inconsistent plan/permutation combination fails delivery
-    /// verification rather than misrouting silently.
+    /// itself. An inconsistent plan/permutation combination returns an
+    /// error whenever the replay misdelivers or drops any of `asg`'s
+    /// messages; `Ok` means the delivery realizes `asg` exactly.
     pub fn route_replay_permuted(
         &self,
         asg: &MulticastAssignment,
@@ -278,13 +280,9 @@ impl Brsmn {
         output_map: &[usize],
         scratch: &mut RouteScratch,
     ) -> Result<RoutingResult, CoreError> {
+        scratch.ensure(self.n);
         for (name, map) in [("input_map", input_map), ("output_map", output_map)] {
-            let mut seen = vec![false; self.n];
-            if map.len() != self.n
-                || !map.iter().all(|&p| {
-                    p < self.n && !std::mem::replace(&mut seen[p.min(self.n - 1)], true)
-                })
-            {
+            if !scratch.is_permutation(map) {
                 return Err(CoreError::Config(format!(
                     "{name} is not a permutation of 0..{}",
                     self.n

@@ -55,10 +55,20 @@ pub struct Canonicalized {
 }
 
 impl Canonicalized {
-    /// The canonical fingerprint — [`crate::plan_fingerprint`] of the
-    /// representative, the key of the cache's canonical tier.
+    /// The class fingerprint, the key of the cache's canonical tier: a
+    /// hash of `n` and the representative's fanout sequence (non-increasing
+    /// from input 0 up to the first idle input), which determines the
+    /// representative. It mixes one word per active input, where
+    /// [`crate::plan_fingerprint`] of the representative would mix one per
+    /// destination; the tier still guards every hit with full equality of
+    /// the representatives.
     pub fn fingerprint(&self) -> u64 {
-        crate::plancache::plan_fingerprint(&self.canonical)
+        let fanouts = self
+            .canonical
+            .iter()
+            .map(|(_, d)| d.len())
+            .take_while(|&f| f > 0);
+        crate::plancache::fingerprint_fanouts(self.canonical.n(), fanouts)
     }
 }
 
@@ -89,14 +99,16 @@ pub fn canonicalize(asg: &MulticastAssignment) -> Canonicalized {
     let n = asg.n();
     // Rank the active inputs by fanout, largest first; ties break on the
     // input index purely to make *this member's* permutation deterministic
-    // — any tie order yields the same canonical assignment.
-    let mut order: Vec<usize> = (0..n).filter(|&i| !asg.dests(i).is_empty()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(asg.dests(i).len()), i));
+    // — any tie order yields the same canonical assignment. The keys are
+    // distinct, so an unstable sort gives the same order.
+    let mut order: Vec<usize> = Vec::with_capacity(n);
+    order.extend((0..n).filter(|&i| !asg.dests(i).is_empty()));
+    order.sort_unstable_by_key(|&i| (std::cmp::Reverse(asg.dests(i).len()), i));
 
     const UNSET: usize = usize::MAX;
     let mut input_perm = vec![UNSET; n];
     let mut output_perm = vec![UNSET; n];
-    let mut sets = vec![Vec::new(); n];
+    let mut sets = Vec::with_capacity(n);
     let mut next_out = 0usize;
     for (rank, &i) in order.iter().enumerate() {
         input_perm[i] = rank;
@@ -106,9 +118,11 @@ pub fn canonicalize(asg: &MulticastAssignment) -> Canonicalized {
         for (k, &d) in dests.iter().enumerate() {
             output_perm[d] = next_out + k;
         }
-        sets[rank] = (next_out..next_out + dests.len()).collect();
+        sets.push((next_out..next_out + dests.len()).collect());
         next_out += dests.len();
     }
+    let claimed = next_out;
+    sets.resize_with(n, Vec::new);
     // Idle inputs and unclaimed outputs take the remaining positions in
     // index order — full bijections, so permuted replay can address every
     // line.
@@ -125,10 +139,13 @@ pub fn canonicalize(asg: &MulticastAssignment) -> Canonicalized {
             next_out += 1;
         }
     }
-    let canonical = MulticastAssignment::from_sets(n, sets)
-        .expect("consecutive disjoint runs form a valid assignment");
+    // Consecutive runs starting at 0 are sorted, disjoint and in range by
+    // construction, so the representative skips `from_sets`' validation.
+    // Debug builds check the tiling (without allocating, so the hit's
+    // allocation count is the same in every build).
+    debug_assert!(sets.iter().flatten().copied().eq(0..claimed));
     Canonicalized {
-        canonical,
+        canonical: MulticastAssignment::from_valid_sets(n, sets),
         input_perm,
         output_perm,
     }

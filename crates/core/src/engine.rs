@@ -50,6 +50,7 @@ use std::time::{Duration, Instant};
 use crate::assignment::{MulticastAssignment, RoutingResult};
 use crate::brsmn::{final_switch, Brsmn};
 use crate::bsn::Bsn;
+use crate::canonical::Canonicalized;
 use crate::error::CoreError;
 use crate::payload::{RoutePayload, SelfRoutedMsg, SemanticMsg};
 use crate::plancache::{plan_fingerprint, CanonicalHit, CapturedPlan, PlanCache};
@@ -226,26 +227,32 @@ impl StageTimer {
         self.sweep_passes += SWEEPS_PER_BSN;
     }
 
-    /// Records one BSN of `size` lines **replayed** from a captured plan at
-    /// 1-based `level`. The replayed settings count toward
+    /// Records `blocks` BSNs of `size` lines **replayed** from a captured
+    /// plan at 1-based `level`, taking `elapsed` in total (the replay kernel
+    /// records a whole level at once). The replayed settings count toward
     /// [`StageTimer::switch_settings`] (they were applied to the fabric) but
     /// not toward [`StageTimer::sweep_passes`] — no planner sweep ran, which
     /// is exactly the work the cache elides.
-    pub fn record_bsn_replay(&mut self, level: usize, size: usize, elapsed: Duration) {
+    pub fn record_bsn_replay(&mut self, level: usize, blocks: u64, size: usize, elapsed: Duration) {
         if self.levels.len() < level {
             self.levels.resize(level, LevelStats::default());
         }
         let slot = &mut self.levels[level - 1];
-        slot.blocks += 1;
+        slot.blocks += blocks;
         slot.nanos += elapsed.as_nanos() as u64;
-        self.switch_settings += (size as u64) * u64::from(log2_exact(size));
+        self.switch_settings += blocks * (size as u64) * u64::from(log2_exact(size));
     }
 
     /// Records one final-stage 2×2 switch.
     pub fn record_final(&mut self, elapsed: Duration) {
-        self.final_switches += 1;
+        self.record_final_stage(1, elapsed);
+    }
+
+    /// Records `switches` final-stage 2×2 switches taking `elapsed` in total.
+    pub fn record_final_stage(&mut self, switches: u64, elapsed: Duration) {
+        self.final_switches += switches;
         self.final_nanos += elapsed.as_nanos() as u64;
-        self.switch_settings += 1;
+        self.switch_settings += switches;
     }
 
     /// Folds another timer (a worker's or a forked half's) into this one.
@@ -549,6 +556,10 @@ enum FrameProbe {
     Deferred,
 }
 
+/// A pass-A cache miss: the frame index plus, when a cache is configured,
+/// the fingerprint and canonical form its inserts are keyed by.
+type Miss = (usize, Option<(u64, Canonicalized)>);
+
 /// What one SoA chunk (or its scalar fallback) produced.
 struct ChunkOut {
     /// `(frame index, result)` for every frame of the chunk.
@@ -755,25 +766,25 @@ impl Engine {
                             None,
                             Some(timer),
                         )
-                    } else if let Some(hit) =
-                        cache.lookup_canonical(&crate::canonical::canonicalize(asg))
-                    {
-                        canon_hit = 1;
-                        route_assignment_replay_permuted(
-                            n,
-                            self.net.wiring(),
-                            asg,
-                            &hit.plan,
-                            &hit.input_map,
-                            &hit.output_map,
-                            scratch,
-                            Some(timer),
-                        )
                     } else {
-                        miss = 1;
-                        match CapturedPlan::new(n) {
-                            Err(e) => Err(e),
-                            Ok(mut plan) => {
+                        // Canonicalized once per exact miss: the probe's
+                        // form also keys a miss's canonical insert.
+                        let canon = crate::canonical::canonicalize(asg);
+                        if let Some(hit) = cache.lookup_canonical(&canon) {
+                            canon_hit = 1;
+                            route_assignment_replay_permuted(
+                                n,
+                                self.net.wiring(),
+                                asg,
+                                &hit.plan,
+                                &hit.input_map,
+                                &hit.output_map,
+                                scratch,
+                                Some(timer),
+                            )
+                        } else {
+                            miss = 1;
+                            CapturedPlan::new(n).and_then(|mut plan| {
                                 let r = route_assignment_fast_buffered(
                                     n,
                                     self.net.wiring(),
@@ -790,15 +801,12 @@ impl Engine {
                                     }
                                     // The same capture seeds its whole
                                     // relabeling class.
-                                    if cache.insert_canonical(
-                                        &crate::canonical::canonicalize(asg),
-                                        plan,
-                                    ) {
+                                    if cache.insert_canonical(&canon, plan) {
                                         evict = 1;
                                     }
                                 }
                                 r
-                            }
+                            })
                         }
                     }
                 }
@@ -846,11 +854,12 @@ impl Engine {
 
         // Pass A: classify every frame with at most one probe per cache
         // tier, claiming each fingerprint / relabeling class for its first
-        // miss so no plan is computed twice within the batch.
+        // miss so no plan is computed twice within the batch. A miss keeps
+        // its fingerprint and canonical form as the keys of its inserts.
         let mut probes: Vec<(usize, FrameProbe)> = Vec::new();
-        let mut miss_idx: Vec<usize> = Vec::new();
+        let mut misses: Vec<Miss> = Vec::new();
         match cache {
-            None => miss_idx.extend(0..batch.len()),
+            None => misses.extend((0..batch.len()).map(|i| (i, None))),
             Some(cache) => {
                 let mut claimed_fp: HashSet<u64> = HashSet::new();
                 let mut claimed_class: HashSet<u64> = HashSet::new();
@@ -875,27 +884,27 @@ impl Engine {
                     }
                     claimed_fp.insert(fp);
                     claimed_class.insert(canon.fingerprint());
-                    miss_idx.push(i);
+                    misses.push((i, Some((fp, canon))));
                 }
             }
         }
 
         // Pass B: lockstep-plan the misses. Chunks spread across the
         // worker pool while respecting the SoA frame cap.
-        let chunk_size = miss_idx
+        let chunk_size = misses
             .len()
             .div_ceil(workers.max(1))
             .clamp(1, crate::MAX_BATCH_FRAMES);
-        let chunks: Vec<&[usize]> = miss_idx.chunks(chunk_size).collect();
+        let chunks: Vec<&[Miss]> = misses.chunks(chunk_size).collect();
         let chunk_outs = par::par_map(&chunks, workers, |_ci, chunk| {
-            let chunk: &[usize] = chunk;
+            let chunk: &[Miss] = chunk;
             let t0 = Instant::now();
             let mut timer = StageTimer::new();
             let planned: Result<(Vec<Result<RoutingResult, CoreError>>, u64, u64), CoreError> =
                 with_thread_batch_planner(n, chunk.len(), |bp| {
                     let mut refs: [&MulticastAssignment; crate::MAX_BATCH_FRAMES] =
                         [&batch[0]; crate::MAX_BATCH_FRAMES];
-                    for (k, &i) in chunk.iter().enumerate() {
+                    for (k, &(i, _)) in chunk.iter().enumerate() {
                         refs[k] = &batch[i];
                     }
                     let refs = &refs[..chunk.len()];
@@ -908,17 +917,15 @@ impl Engine {
                                 caps.push(CapturedPlan::new(n)?);
                             }
                             bp.route_frames(wiring, refs, &mut timer, Some(&mut caps))?;
-                            for (&i, plan) in chunk.iter().zip(caps) {
-                                let asg = &batch[i];
+                            for ((i, keys), plan) in chunk.iter().zip(caps) {
+                                let Some((fp, canon)) = keys else { continue };
                                 let plan = Arc::new(plan);
-                                if cache.insert(plan_fingerprint(asg), asg, Arc::clone(&plan)) {
+                                if cache.insert(*fp, &batch[*i], Arc::clone(&plan)) {
                                     evictions += 1;
                                 }
                                 // The same capture seeds its whole
                                 // relabeling class.
-                                if cache
-                                    .insert_canonical(&crate::canonical::canonicalize(asg), plan)
-                                {
+                                if cache.insert_canonical(canon, plan) {
                                     evictions += 1;
                                 }
                             }
@@ -932,7 +939,7 @@ impl Engine {
                 });
             match planned {
                 Ok((results, evictions, bytes)) => ChunkOut {
-                    entries: chunk.iter().copied().zip(results).collect(),
+                    entries: chunk.iter().map(|&(i, _)| i).zip(results).collect(),
                     timer,
                     busy_nanos: t0.elapsed().as_nanos() as u64,
                     scratch_bytes: bytes,
@@ -957,7 +964,7 @@ impl Engine {
                     let mut tallies = [0u64; 4];
                     let mut bytes = 0u64;
                     let mut busy = 0u64;
-                    for &i in chunk {
+                    for &(i, _) in chunk {
                         let f0 = Instant::now();
                         let (result, b, t) = self.route_frame_cached(&batch[i], &mut timer);
                         busy += f0.elapsed().as_nanos() as u64;

@@ -14,7 +14,10 @@
 //!   (packed words + popcount) writing into one persistent
 //!   [`RbnSettings`] table;
 //! * the per-level shuffle/exchange wiring comes precomputed from the
-//!   [`Brsmn`](crate::brsmn::Brsmn)'s [`RbnWiring`].
+//!   [`Brsmn`](crate::brsmn::Brsmn)'s [`RbnWiring`];
+//! * an untraced replay of a captured plan — exact or permuted — needs
+//!   neither tags nor ranges: one kernel moves bare source ids through the
+//!   captured 2-bit codes, a branch-free select per switch.
 //!
 //! Everything lives in a [`RouteScratch`] arena sized once from `n`; after
 //! the first frame at a given size, routing performs **zero** heap
@@ -84,9 +87,10 @@ impl FastLine {
     };
 }
 
-/// Reusable routing arena: the line buffer, the packed sweep scratch, and the
-/// persistent settings table, all sized from `n` on first use and never
-/// reallocated while the size stays fixed.
+/// Reusable routing arena: the line buffer, the replay kernel's source
+/// buffer, the packed sweep scratch, and the persistent settings table, all
+/// sized from `n` on first use and never reallocated while the size stays
+/// fixed.
 ///
 /// Pass one to [`Brsmn::route_into`](crate::brsmn::Brsmn::route_into) /
 /// [`Brsmn::route_buffered`](crate::brsmn::Brsmn::route_buffered), or let
@@ -96,6 +100,9 @@ impl FastLine {
 pub struct RouteScratch {
     n: usize,
     lines: Vec<FastLine>,
+    /// The source id on each line (`NO_SRC` when idle): the whole state of
+    /// an untraced plan replay, which needs no tags and no ranges.
+    srcs: Vec<u32>,
     sweep: SweepScratch,
     settings: RbnSettings,
 }
@@ -120,6 +127,7 @@ impl RouteScratch {
         RouteScratch {
             n: 0,
             lines: Vec::new(),
+            srcs: Vec::new(),
             sweep: SweepScratch::new(),
             // Placeholder with zero stages; replaced by `ensure`.
             settings: RbnSettings::identity(1),
@@ -138,6 +146,8 @@ impl RouteScratch {
             self.n = n;
             self.lines.clear();
             self.lines.resize(n, FastLine::EMPTY);
+            self.srcs.clear();
+            self.srcs.resize(n, NO_SRC);
             self.settings = RbnSettings::identity(n);
         }
     }
@@ -160,6 +170,7 @@ impl RouteScratch {
             .map(|j| self.settings.stage(j).len() * std::mem::size_of::<SwitchSetting>())
             .sum();
         self.lines.capacity() * std::mem::size_of::<FastLine>()
+            + self.srcs.capacity() * std::mem::size_of::<u32>()
             + self.sweep.footprint_bytes()
             + settings_bytes
     }
@@ -168,6 +179,18 @@ impl RouteScratch {
     /// one allocation of [`Brsmn::route_buffered`](crate::brsmn::Brsmn::route_buffered)).
     fn to_result(&self) -> RoutingResult {
         RoutingResult::new(self.output_sources().collect())
+    }
+
+    /// `true` when `map` is a permutation of `0..n()`. Marks positions in
+    /// the source buffer, so the check allocates nothing; the buffer is
+    /// reloaded by every replay.
+    pub(crate) fn is_permutation(&mut self, map: &[usize]) -> bool {
+        let marks = &mut self.srcs;
+        marks.fill(NO_SRC);
+        map.len() == marks.len()
+            && map
+                .iter()
+                .all(|&p| p < marks.len() && std::mem::replace(&mut marks[p], 0) == NO_SRC)
     }
 
     /// The planner halves of the arena (packed sweep scratch + settings
@@ -534,18 +557,37 @@ pub(crate) fn init_lines(asg: &MulticastAssignment, lines: &mut [FastLine]) {
     }
 }
 
-/// Final delivery verification, shared by fresh routing and replay: every
-/// delivered message must belong at its output *per the actual assignment*
-/// (the reference does this in `extract_result`). On the replay path this
-/// is the last line of defense against a corrupted or foreign plan.
-pub(crate) fn verify_delivery(asg: &MulticastAssignment, lines: &[FastLine]) -> Result<(), CoreError> {
-    for (o, line) in lines.iter().enumerate() {
-        if line.src != NO_SRC && asg.dests(line.src as usize).binary_search(&o).is_err() {
+/// Final delivery verification, shared by fresh routing and replay.
+/// `delivered` yields the source id that reached each output, in output
+/// order. Every delivered message must belong at its output *per the actual
+/// assignment* (the reference does this in `extract_result`), and the
+/// number of delivered outputs must equal `asg.total_connections()`. Each
+/// output has at most one owner, so together the two checks mean every
+/// claimed output received its owner's message: a replay that drops a
+/// message fails here too. On the replay path this is the last line of
+/// defense against a corrupted or foreign plan.
+pub(crate) fn verify_delivery(
+    asg: &MulticastAssignment,
+    delivered: impl Iterator<Item = u32>,
+) -> Result<(), CoreError> {
+    let mut count = 0usize;
+    for (o, src) in delivered.enumerate() {
+        if src == NO_SRC {
+            continue;
+        }
+        if asg.dests(src as usize).binary_search(&o).is_err() {
             return Err(CoreError::Internal(format!(
-                "message from input {} misdelivered to output {o}",
-                line.src
+                "message from input {src} misdelivered to output {o}"
             )));
         }
+        count += 1;
+    }
+    let want = asg.total_connections();
+    if count != want {
+        return Err(CoreError::Internal(format!(
+            "{count} of {want} connections delivered: {} messages dropped",
+            want - count
+        )));
     }
     Ok(())
 }
@@ -621,7 +663,7 @@ pub(crate) fn route_assignment_fast(
         tm.plan_profile.merge(&profile);
     }
 
-    verify_delivery(asg, lines)
+    verify_delivery(asg, lines.iter().map(|l| l.src))
 }
 
 /// Routes and collects the result (one `Vec` allocation for the result).
@@ -675,63 +717,122 @@ fn replay_bsn_traced(
     Ok(())
 }
 
-/// Replays one BSN block lean: no tags, no planes, no checks beyond the
-/// frame-final delivery verification — just the captured 2-bit codes decoded
-/// straight from the packed arena and applied to the source ids. This is the
-/// warm-cache steady state: per block, `2·k` stage passes of shifts and
-/// swaps, zero planning.
-fn replay_bsn_lean(
-    lines: &mut [FastLine],
-    wiring: &RbnWiring,
-    plan: &CapturedPlan,
-    base: usize,
-    size: usize,
-    level: usize,
-) {
-    let k = log2_exact(size) as usize;
-    for phase in [PHASE_SCATTER, PHASE_QUASISORT] {
-        let phase_off = plan.phase_base(level, phase);
-        for j in 0..k {
-            let pairs = wiring.stage(j);
-            for idx in base / 2..(base + size) / 2 {
-                let (u, l) = pairs[idx];
-                let (u, l) = (u as usize, l as usize);
-                match plan.stage_code(phase_off, j, idx) {
-                    0 => {}
-                    1 => lines.swap(u, l),
-                    2 => {
-                        let a = lines[u];
-                        lines[u] = FastLine { tag: Tag::Zero, ..a };
-                        lines[l] = FastLine { tag: Tag::One, ..a };
-                    }
-                    _ => {
-                        let a = lines[l];
-                        lines[u] = FastLine { tag: Tag::Zero, ..a };
-                        lines[l] = FastLine { tag: Tag::One, ..a };
-                    }
-                }
-            }
+/// Applies one captured 2-bit setting code to the source ids of the line
+/// pair `(u, l)`, with no branch on the code. Code `c` decodes as
+/// [`brsmn_rbn::setting_code`] packs it: bit 0 set (crossing, lower
+/// broadcast) means the upper output takes the lower input; `c ^ (c >> 1)`
+/// odd (crossing, upper broadcast) means the lower output takes the upper
+/// input. Matches [`apply_final_setting`] on the source ids.
+#[inline(always)]
+fn apply_code(srcs: &mut [u32], u: usize, l: usize, c: u64) {
+    let (su, sl) = (srcs[u], srcs[l]);
+    let upper_takes_l = ((c & 1) as u32).wrapping_neg();
+    let lower_takes_u = (((c ^ (c >> 1)) & 1) as u32).wrapping_neg();
+    srcs[u] = (su & !upper_takes_l) | (sl & upper_takes_l);
+    srcs[l] = (sl & !lower_takes_u) | (su & lower_takes_u);
+}
+
+/// Applies the `pairs.len()` captured codes starting at tensor index `off`
+/// to the line pairs `pairs`, one stage of the replay kernel. Codes are
+/// decoded one packed word at a time: load it, then shift it down 2 bits
+/// per switch. (Every stage plane of an n ≥ 64 plan starts on a word, so
+/// only smaller plans take a partial first word.)
+#[inline]
+fn replay_stage(srcs: &mut [u32], mut pairs: &[(u32, u32)], plan: &CapturedPlan, mut off: usize) {
+    while !pairs.is_empty() {
+        let shift = off % 32;
+        let run = (32 - shift).min(pairs.len());
+        let mut w = plan.word(off / 32) >> (2 * shift);
+        for &(u, l) in &pairs[..run] {
+            apply_code(srcs, u as usize, l as usize, w & 3);
+            w >>= 2;
         }
+        pairs = &pairs[run..];
+        off += run;
     }
 }
 
-/// Replays a captured plan for `asg` end to end, leaving the delivered lines
-/// in `scratch`. Bit-identical to fresh routing of the same assignment:
-/// same result, same trace (when requested), same final settings table (on
-/// the traced path). The untraced path skips tag derivation entirely and
-/// executes the packed codes directly — the warm-cache fast path.
-///
-/// The plan must have been captured for an equal assignment; the frame-final
-/// delivery verification rejects replays against a different one.
-pub(crate) fn route_assignment_replay(
-    n: usize,
+/// The replay kernel: executes every captured setting of `plan` on the
+/// source ids alone — no tags, no destination ranges, no planning, no
+/// checks beyond the caller's frame-final delivery verification. The
+/// blocks of a level tile the network and each touches only its own lines,
+/// so each stage runs as one pass over the full width; the final 2×2 stage
+/// pairs lines `(2p, 2p + 1)`, which is wiring stage 0. The timer is read
+/// once per level and once for the final stage; the block, setting and
+/// final-switch counts it records equal the fresh path's.
+fn replay_kernel(
+    srcs: &mut [u32],
+    wiring: &RbnWiring,
+    plan: &CapturedPlan,
+    mut timer: Option<&mut StageTimer>,
+) {
+    let n = srcs.len();
+    let half = n / 2;
+    let mut size = n;
+    let mut level = 1;
+    while size > 2 {
+        let t0 = timer.as_ref().map(|_| Instant::now());
+        let k = log2_exact(size) as usize;
+        for phase in [PHASE_SCATTER, PHASE_QUASISORT] {
+            let phase_off = plan.phase_offset(level, phase);
+            for j in 0..k {
+                replay_stage(srcs, wiring.stage(j), plan, phase_off + j * half);
+            }
+        }
+        if let (Some(tm), Some(t0)) = (timer.as_deref_mut(), t0) {
+            tm.record_bsn_replay(level, (n / size) as u64, size, t0.elapsed());
+        }
+        size /= 2;
+        level += 1;
+    }
+
+    let t0 = timer.as_ref().map(|_| Instant::now());
+    replay_stage(srcs, wiring.stage(0), plan, plan.final_offset());
+    if let (Some(tm), Some(t0)) = (timer, t0) {
+        tm.record_final_stage(half as u64, t0.elapsed());
+    }
+}
+
+/// The source id delivered to each output, in output order: line `o` for an
+/// exact replay, line `output_map[o]` for a permuted one.
+fn delivered<'a>(srcs: &'a [u32], output_map: Option<&'a [usize]>) -> impl Iterator<Item = u32> + 'a {
+    (0..srcs.len()).map(move |o| srcs[output_map.map_or(o, |m| m[o])])
+}
+
+/// Untraced replay on the source buffer: each live input `i` enters at line
+/// `input_map[i]` (line `i` without maps), the kernel executes the plan, and
+/// the delivery — read back through `output_map` — is verified against
+/// `asg`. Exact and permuted replay differ only in the maps.
+fn replay_sources(
     wiring: &RbnWiring,
     asg: &MulticastAssignment,
     plan: &CapturedPlan,
-    scratch: &mut RouteScratch,
-    mut trace: Option<&mut RouteTrace>,
-    mut timer: Option<&mut StageTimer>,
+    maps: Option<(&[usize], &[usize])>,
+    srcs: &mut [u32],
+    timer: Option<&mut StageTimer>,
 ) -> Result<(), CoreError> {
+    srcs.fill(NO_SRC);
+    for (i, d) in asg.iter() {
+        if !d.is_empty() {
+            srcs[maps.map_or(i, |(m, _)| m[i])] = i as u32;
+        }
+    }
+    replay_kernel(srcs, wiring, plan, timer);
+    verify_delivery(asg, delivered(srcs, maps.map(|(_, m)| m)))
+}
+
+/// Collects a verified source-buffer delivery into a [`RoutingResult`]
+/// (its one allocation).
+fn sources_result(srcs: &[u32], output_map: Option<&[usize]>) -> RoutingResult {
+    RoutingResult::new(
+        delivered(srcs, output_map)
+            .map(|s| (s != NO_SRC).then_some(s as usize))
+            .collect(),
+    )
+}
+
+/// Rejects a plan captured for another network size.
+fn check_plan(n: usize, asg: &MulticastAssignment, plan: &CapturedPlan) -> Result<(), CoreError> {
     assert_eq!(asg.n(), n, "assignment size mismatch");
     if plan.n() != n {
         return Err(CoreError::Config(format!(
@@ -739,10 +840,44 @@ pub(crate) fn route_assignment_replay(
             plan.n()
         )));
     }
+    Ok(())
+}
+
+/// Replays a captured plan for `asg` end to end, leaving the delivered lines
+/// in `scratch`. Bit-identical to fresh routing of the same assignment:
+/// same result, same trace (when requested), same final settings table (on
+/// the traced path). The untraced path skips tag derivation entirely and
+/// runs the [`replay_kernel`] on the source ids — the warm-cache fast path.
+///
+/// The plan must have been captured for an equal assignment; the frame-final
+/// delivery verification rejects a replay that misdelivers or drops a
+/// message of `asg`.
+pub(crate) fn route_assignment_replay(
+    n: usize,
+    wiring: &RbnWiring,
+    asg: &MulticastAssignment,
+    plan: &CapturedPlan,
+    scratch: &mut RouteScratch,
+    trace: Option<&mut RouteTrace>,
+    mut timer: Option<&mut StageTimer>,
+) -> Result<(), CoreError> {
+    check_plan(n, asg, plan)?;
     scratch.ensure(n);
     let RouteScratch {
-        lines, settings, ..
+        lines,
+        srcs,
+        settings,
+        ..
     } = scratch;
+
+    let Some(trace) = trace else {
+        replay_sources(wiring, asg, plan, None, srcs, timer)?;
+        // Publish the delivery where `output_sources` reads it.
+        for (line, &src) in lines.iter_mut().zip(srcs.iter()) {
+            *line = FastLine { src, ..FastLine::EMPTY };
+        }
+        return Ok(());
+    };
 
     init_lines(asg, lines);
 
@@ -751,15 +886,11 @@ pub(crate) fn route_assignment_replay(
     while size > 2 {
         for b in 0..n / size {
             let t0 = timer.as_ref().map(|_| Instant::now());
-            if let Some(t) = trace.as_deref_mut() {
-                replay_bsn_traced(
-                    asg, lines, settings, wiring, plan, b * size, size, level, t,
-                )?;
-            } else {
-                replay_bsn_lean(lines, wiring, plan, b * size, size, level);
-            }
+            replay_bsn_traced(
+                asg, lines, settings, wiring, plan, b * size, size, level, trace,
+            )?;
             if let (Some(tm), Some(t0)) = (timer.as_deref_mut(), t0) {
-                tm.record_bsn_replay(level, size, t0.elapsed());
+                tm.record_bsn_replay(level, 1, size, t0.elapsed());
             }
         }
         size /= 2;
@@ -769,64 +900,19 @@ pub(crate) fn route_assignment_replay(
     for lo in (0..n).step_by(2) {
         let t0 = timer.as_ref().map(|_| Instant::now());
         let setting = plan.final_setting(lo / 2);
-        if let Some(t) = trace.as_deref_mut() {
-            // The trace records entry tags; derive them exactly like the
-            // fresh path (the captured setting matches what they imply).
-            enter_block(asg, lines, lo, 2);
-            t.final_tags[lo] = lines[lo].tag;
-            t.final_tags[lo + 1] = lines[lo + 1].tag;
-            t.final_settings[lo / 2] = setting;
-        }
+        // The trace records entry tags; derive them exactly like the fresh
+        // path (the captured setting matches what they imply).
+        enter_block(asg, lines, lo, 2);
+        trace.final_tags[lo] = lines[lo].tag;
+        trace.final_tags[lo + 1] = lines[lo + 1].tag;
+        trace.final_settings[lo / 2] = setting;
         apply_final_setting(lines, lo, setting);
         if let (Some(tm), Some(t0)) = (timer.as_deref_mut(), t0) {
             tm.record_final(t0.elapsed());
         }
     }
 
-    verify_delivery(asg, lines)
-}
-
-/// Loads a frame's input lines into the arena *through a permutation*:
-/// live input `i`'s message enters at plan-space position `input_map[i]`.
-/// The permuted counterpart of [`init_lines`].
-fn init_lines_permuted(asg: &MulticastAssignment, lines: &mut [FastLine], input_map: &[usize]) {
-    lines.fill(FastLine::EMPTY);
-    for (i, d) in asg.iter() {
-        if d.is_empty() {
-            continue;
-        }
-        lines[input_map[i]] = FastLine {
-            tag: Tag::Eps,
-            src: i as u32,
-            d_lo: 0,
-            d_mid: d.len() as u32,
-            d_hi: d.len() as u32,
-            d_val: if d.len() == 1 { d[0] as u32 } else { NO_VAL },
-        };
-    }
-}
-
-/// Delivery verification through the output permutation: the message the
-/// plan delivered to plan-space position `output_map[d]` must belong at
-/// *live* output `d` per the live assignment. Exactly as strong as
-/// [`verify_delivery`] — `output_map` is a bijection, so every delivered
-/// line is checked — and the last line of defense against a foreign plan
-/// or an inconsistent permutation pair.
-fn verify_delivery_permuted(
-    asg: &MulticastAssignment,
-    lines: &[FastLine],
-    output_map: &[usize],
-) -> Result<(), CoreError> {
-    for (o, &q) in output_map.iter().enumerate() {
-        let line = &lines[q];
-        if line.src != NO_SRC && asg.dests(line.src as usize).binary_search(&o).is_err() {
-            return Err(CoreError::Internal(format!(
-                "message from input {} misdelivered to output {o} (plan line {q})",
-                line.src
-            )));
-        }
-    }
-    Ok(())
+    verify_delivery(asg, lines.iter().map(|l| l.src))
 }
 
 /// Replays a plan captured for a *relabeling* of `asg` — the canonical
@@ -836,16 +922,18 @@ fn verify_delivery_permuted(
 /// runs by the cache).
 ///
 /// The live sources enter at their plan-space positions, the captured
-/// setting planes execute verbatim (same lean decode loops as an exact
-/// replay — no planning, no tag derivation), and each live output reads
-/// its delivered source back through `output_map`. The returned result is
-/// **bit-identical to fresh planning of the live assignment**: a routing
-/// result is a pure function of its assignment (every claimed output
-/// receives exactly its unique owner), and the frame-final permuted
-/// delivery verification rejects any plan/permutation pair that violates
-/// it. The trace/settings side channels are deliberately absent here —
-/// they describe the *representative's* planes (shared by the whole
-/// equivalence class), so traced requests take the fresh path instead.
+/// setting planes execute verbatim through the same [`replay_kernel`] as an
+/// exact replay (no planning, no tag derivation), and each live output
+/// reads its delivered source back through `output_map`. The returned
+/// result is **bit-identical to fresh planning of the live assignment**: a
+/// routing result is a pure function of its assignment (every claimed
+/// output receives exactly its unique owner), and the frame-final delivery
+/// verification rejects any plan/permutation pair that misdelivers or
+/// drops a message. The trace/settings side channels are deliberately
+/// absent here — they describe the *representative's* planes (shared by
+/// the whole equivalence class), so traced requests take the fresh path
+/// instead.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn route_assignment_replay_permuted(
     n: usize,
     wiring: &RbnWiring,
@@ -854,15 +942,9 @@ pub(crate) fn route_assignment_replay_permuted(
     input_map: &[usize],
     output_map: &[usize],
     scratch: &mut RouteScratch,
-    mut timer: Option<&mut StageTimer>,
+    timer: Option<&mut StageTimer>,
 ) -> Result<RoutingResult, CoreError> {
-    assert_eq!(asg.n(), n, "assignment size mismatch");
-    if plan.n() != n {
-        return Err(CoreError::Config(format!(
-            "captured plan is for n = {}, network is n = {n}",
-            plan.n()
-        )));
-    }
+    check_plan(n, asg, plan)?;
     if input_map.len() != n || output_map.len() != n {
         return Err(CoreError::Config(format!(
             "permutation length mismatch: maps are {}/{}, network is n = {n}",
@@ -871,42 +953,9 @@ pub(crate) fn route_assignment_replay_permuted(
         )));
     }
     scratch.ensure(n);
-    let RouteScratch { lines, .. } = scratch;
-
-    init_lines_permuted(asg, lines, input_map);
-
-    let mut size = n;
-    let mut level = 1;
-    while size > 2 {
-        for b in 0..n / size {
-            let t0 = timer.as_ref().map(|_| Instant::now());
-            replay_bsn_lean(lines, wiring, plan, b * size, size, level);
-            if let (Some(tm), Some(t0)) = (timer.as_deref_mut(), t0) {
-                tm.record_bsn_replay(level, size, t0.elapsed());
-            }
-        }
-        size /= 2;
-        level += 1;
-    }
-
-    for lo in (0..n).step_by(2) {
-        let t0 = timer.as_ref().map(|_| Instant::now());
-        apply_final_setting(lines, lo, plan.final_setting(lo / 2));
-        if let (Some(tm), Some(t0)) = (timer.as_deref_mut(), t0) {
-            tm.record_final(t0.elapsed());
-        }
-    }
-
-    verify_delivery_permuted(asg, lines, output_map)?;
-    Ok(RoutingResult::new(
-        output_map
-            .iter()
-            .map(|&q| match lines[q].src {
-                NO_SRC => None,
-                s => Some(s as usize),
-            })
-            .collect(),
-    ))
+    let srcs = &mut scratch.srcs;
+    replay_sources(wiring, asg, plan, Some((input_map, output_map)), srcs, timer)?;
+    Ok(sources_result(srcs, Some(output_map)))
 }
 
 /// Replays and collects the result (one `Vec` allocation for the result).
@@ -919,8 +968,15 @@ pub(crate) fn route_assignment_replay_buffered(
     trace: Option<&mut RouteTrace>,
     timer: Option<&mut StageTimer>,
 ) -> Result<RoutingResult, CoreError> {
-    route_assignment_replay(n, wiring, asg, plan, scratch, trace, timer)?;
-    Ok(scratch.to_result())
+    if trace.is_some() {
+        route_assignment_replay(n, wiring, asg, plan, scratch, trace, timer)?;
+        return Ok(scratch.to_result());
+    }
+    check_plan(n, asg, plan)?;
+    scratch.ensure(n);
+    let srcs = &mut scratch.srcs;
+    replay_sources(wiring, asg, plan, None, srcs, timer)?;
+    Ok(sources_result(srcs, None))
 }
 
 #[cfg(test)]
@@ -951,6 +1007,32 @@ mod tests {
         assert_eq!(s.footprint_bytes(), fp);
         s.ensure(16);
         assert_eq!(s.n(), 16);
+    }
+
+    #[test]
+    fn replay_codes_match_apply_final_setting() {
+        // Truth table of the branch-free select: for each 2-bit code, the
+        // source ids it leaves on a live pair (and on pairs with one idle
+        // line) equal what `apply_final_setting` leaves on full lines.
+        let line = |src| FastLine {
+            src,
+            ..FastLine::EMPTY
+        };
+        let want = [[7, 9], [9, 7], [7, 7], [9, 9]];
+        for (c, want) in want.iter().enumerate() {
+            let setting = brsmn_rbn::setting_from_code(c as u64);
+            assert_eq!(brsmn_rbn::setting_code(setting), c as u64);
+            for (u, l) in [(7, 9), (7, NO_SRC), (NO_SRC, 9), (NO_SRC, NO_SRC)] {
+                let mut lines = [line(u), line(l)];
+                apply_final_setting(&mut lines, 0, setting);
+                let mut srcs = [u, l];
+                apply_code(&mut srcs, 0, 1, c as u64);
+                assert_eq!(srcs, [lines[0].src, lines[1].src], "code {c} on ({u}, {l})");
+            }
+            let mut srcs = [7, 9];
+            apply_code(&mut srcs, 0, 1, c as u64);
+            assert_eq!(&srcs, want, "code {c}");
+        }
     }
 
     #[test]

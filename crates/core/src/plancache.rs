@@ -20,9 +20,9 @@
 //! │             per-input words SEQ derives from, Eqs. 11–12)──► u64 key
 //! │
 //! ├─ exact hit ──► exact shard (read lock + LRU stamp bump) ──► Arc<CapturedPlan>
-//! │                └─► replay: decode 2-bit planes level by level through
-//! │                    the iterative router — bit-identical
-//! │                    result/trace/settings
+//! │                └─► replay: the source-only kernel decodes the 2-bit
+//! │                    planes stage by stage — bit-identical result (the
+//! │                    traced replay also reproduces trace/settings)
 //! ├─ exact miss ──► canonicalize (crate::canonical): reduce to the
 //! │   │             relabeling-class representative + permutation pair
 //! │   ├─ canonical hit ──► canonical shard ──► Arc<CapturedPlan> + the
@@ -41,9 +41,23 @@
 //! `alloc-count` test in `brsmn-bench`): the fingerprint is an arithmetic
 //! fold, the shard probe takes a shared read lock, the LRU stamp is an
 //! atomic store, and the plan travels as an [`Arc`] clone. A canonical hit
-//! is *low*-allocation, not zero: it builds the probe's canonical form and
-//! composes two permutation arrays (a few `O(n)` buffers — still no
-//! planning sweeps, which is where the time goes).
+//! is *low*-allocation, not zero: it builds the probe's canonical form
+//! (four `O(n)` buffers plus one set per active input) and composes two
+//! permutation arrays — still no planning sweeps, which is where the time
+//! goes. The same test pins that count exactly.
+//!
+//! # The collision guard is length-first
+//!
+//! Every hit in either tier is guarded by full equality of the stored and
+//! the probe assignment, so a 64-bit fingerprint collision can only cost a
+//! miss, never a wrong plan. That comparison runs on *every* hit, so its
+//! cost is part of the hit path. [`MulticastAssignment`]'s equality
+//! compares `n`, then the length of each destination set, and only then
+//! the contents of the non-empty sets. Most inputs of a typical frame are
+//! idle, and comparing two empty sets element-wise costs a call per set,
+//! where comparing their lengths is one load each. The guard stays exactly
+//! as strong: two assignments are equal iff their sizes and all their
+//! `(input, set)` pairs are (`plan_cache_props` pins this law).
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -96,6 +110,16 @@ where
         xor ^= h;
     }
     mix(sum ^ xor.rotate_left(32) ^ (n as u64).wrapping_mul(0xA24B_AED4_963E_E407))
+}
+
+/// Fingerprint of a fanout sequence on an `n × n` network, in the given
+/// order — the canonical tier's class key ([`Canonicalized::fingerprint`]).
+pub(crate) fn fingerprint_fanouts(n: usize, fanouts: impl Iterator<Item = usize>) -> u64 {
+    let mut h = mix((n as u64).wrapping_mul(0xA24B_AED4_963E_E407) ^ 0xC3A5_C85C_97CB_3127);
+    for f in fanouts {
+        h = mix(h ^ f as u64);
+    }
+    h
 }
 
 /// [`fingerprint_inputs`] over an assignment's canonical iteration — the key
@@ -158,7 +182,7 @@ impl CapturedPlan {
     }
 
     /// Offset of the first setting of `(level, phase)`.
-    fn phase_offset(&self, level: usize, phase: usize) -> usize {
+    pub(crate) fn phase_offset(&self, level: usize, phase: usize) -> usize {
         let m = log2_exact(self.n) as usize;
         debug_assert!((1..m).contains(&level) && phase < 2);
         let before: usize = (1..level).map(|l| 2 * (m - l + 1) * (self.n / 2)).sum();
@@ -166,7 +190,7 @@ impl CapturedPlan {
     }
 
     /// Offset of the final-stage settings.
-    fn final_offset(&self) -> usize {
+    pub(crate) fn final_offset(&self) -> usize {
         Self::total_settings(self.n) - self.n / 2
     }
 
@@ -206,17 +230,13 @@ impl CapturedPlan {
         }
     }
 
-    /// Raw 2-bit code of switch `idx` in stage `j` of `(level, phase)` —
-    /// the replay executor decodes settings straight from the packed words.
+    /// The packed word of tensor indices `[32·w, 32·w + 32)` (see
+    /// [`PackedSettings::word`]) — the replay kernel decodes settings
+    /// straight from these words. Stage `j` of `(level, phase)` starts at
+    /// index `phase_offset(level, phase) + j·n/2`.
     #[inline]
-    pub(crate) fn stage_code(&self, phase_off: usize, j: usize, idx: usize) -> u64 {
-        self.planes.code(phase_off + j * (self.n / 2) + idx)
-    }
-
-    /// Precomputed phase offset for [`CapturedPlan::stage_code`] loops.
-    #[inline]
-    pub(crate) fn phase_base(&self, level: usize, phase: usize) -> usize {
-        self.phase_offset(level, phase)
+    pub(crate) fn word(&self, w: usize) -> u64 {
+        self.planes.word(w)
     }
 
     /// Records the final-stage setting of output pair `pair`.
@@ -348,8 +368,8 @@ impl PlanCacheStats {
 ///
 /// The **canonical tier** ([`PlanCache::lookup_canonical`] /
 /// [`PlanCache::insert_canonical`]) lives in its own shard set with the
-/// same capacity bound, keyed by the fingerprint of the
-/// [`Canonicalized`] representative. Both tiers share the plan `Arc`s —
+/// same capacity bound, keyed by the class fingerprint
+/// ([`Canonicalized::fingerprint`]) of the representative. Both tiers share the plan `Arc`s —
 /// eviction from either tier never invalidates a replay in flight,
 /// because a looked-up plan is an owned `Arc` clone that keeps the arena
 /// alive until the replay drops it.

@@ -113,6 +113,21 @@ proptest! {
         prop_assert_eq!(&again.output_perm, &identity);
     }
 
+    /// The representative is built without `from_sets`' validation, so
+    /// check it here: rebuilding it through `from_sets` from its own sets
+    /// succeeds and gives back the same value, for the frame and its
+    /// relabelings alike.
+    #[test]
+    fn canonical_form_revalidates((n, asg, pair1, pair2) in frame_with_relabelings()) {
+        for a in [asg.clone(), relabel(&asg, &pair1), relabel(&asg, &pair2)] {
+            let c = canonicalize(&a).canonical;
+            let sets: Vec<Vec<usize>> = c.iter().map(|(_, d)| d.to_vec()).collect();
+            let rebuilt = MulticastAssignment::from_sets(n, sets).unwrap();
+            prop_assert!(rebuilt.iter().eq(c.iter()));
+            prop_assert_eq!(rebuilt, c);
+        }
+    }
+
     /// Any two relabelings of one frame canonicalize to the same
     /// representative and the same fingerprint — the soundness of keying a
     /// cache tier on the canonical form.

@@ -104,6 +104,14 @@ impl PackedSettings {
         }
     }
 
+    /// The packed word holding positions `[32·w, 32·w + 32)`, lowest bits
+    /// first: `code(i) == word(i / 32) >> (2 · (i % 32)) & 3`. Lets a
+    /// reader decode a run with one load per 32 codes.
+    #[inline]
+    pub fn word(&self, w: usize) -> u64 {
+        self.words[w]
+    }
+
     /// Heap bytes reserved by the word buffer.
     pub fn footprint_bytes(&self) -> usize {
         self.words.capacity() * 8
