@@ -88,8 +88,8 @@ fn main() {
     let mut seq_cold_profiles: [PlanOpProfile; 2] = Default::default();
     for n in [64usize, 256, 1024] {
         for workers in [1usize, 4] {
-            for use_scratch in [true, false] {
-                let p = measure_route_path(n, FRAMES, SEED, workers, use_scratch, repeats);
+            for fast in [true, false] {
+                let p = measure_route_path(n, FRAMES, SEED, workers, fast, repeats);
                 print_point(&p);
                 if workers == 1 {
                     let slot = match n {
@@ -98,7 +98,7 @@ fn main() {
                         _ => None,
                     };
                     if let Some(s) = slot {
-                        if use_scratch {
+                        if fast {
                             seq_fast[s] = p.frames_per_sec;
                         } else {
                             seq_ref[s] = p.frames_per_sec;
@@ -107,12 +107,12 @@ fn main() {
                 }
                 points.push(p);
             }
-            for batch_plan in [false, true] {
-                let p = measure_cold_path(n, FRAMES, SEED, workers, batch_plan, repeats);
+            for lockstep in [false, true] {
+                let p = measure_cold_path(n, FRAMES, SEED, workers, lockstep, repeats);
                 print_point(&p);
                 if n == 256 && workers == 1 {
-                    seq_cold_n256[batch_plan as usize] = p.frames_per_sec;
-                    seq_cold_profiles[batch_plan as usize] = p.plan_profile.clone();
+                    seq_cold_n256[lockstep as usize] = p.frames_per_sec;
+                    seq_cold_profiles[lockstep as usize] = p.plan_profile.clone();
                 }
                 points.push(p);
             }

@@ -7,9 +7,11 @@
 
 use brsmn_baselines::{BatcherBanyan, BenesNetwork, ComplexityModel, CopyBenesMulticast, NetworkKind};
 use brsmn_core::{
-    metrics, Brsmn, Engine, EngineConfig, EngineStats, FeedbackBrsmn, MulticastAssignment,
-    PlanOpProfile,
+    metrics, BatchOutput, Brsmn, CoreError, Engine, EngineConfig, EngineStats, FeedbackBrsmn,
+    MulticastAssignment, PlanOpProfile, RoutingResult,
 };
+use brsmn_rbn::par;
+use std::time::Instant;
 use brsmn_sim::{brsmn_routing_time, feedback_routing_time, looping_routing_time};
 use brsmn_workloads::{random_multicast, random_permutation, RandomSpec};
 use serde::{Deserialize, Serialize};
@@ -260,31 +262,85 @@ pub struct RoutePoint {
 /// warm the branch predictors so the first timed repeat is not an outlier.
 pub const WARMUP_PASSES: usize = 1;
 
-/// Routes `repeats` batches of `frames` dense frames through an engine and
-/// returns the best-run measurement. `use_scratch = false` selects the PR-1
-/// allocating reference router; results are asserted identical either way.
+/// Routes `batch` one frame per `route` call, spread over `workers`
+/// threads. The stats merge every call's, with the wall time of the whole
+/// batch and the worker count actually used.
+fn route_frame_by_frame<F>(
+    n: usize,
+    batch: &[MulticastAssignment],
+    workers: usize,
+    route: F,
+) -> BatchOutput
+where
+    F: Fn(&MulticastAssignment) -> (Result<RoutingResult, CoreError>, EngineStats) + Sync,
+{
+    let wall_start = Instant::now();
+    let outs = par::par_map(batch, workers, |_, asg| route(asg));
+    let wall_nanos = wall_start.elapsed().as_nanos() as u64;
+    let mut stats = EngineStats::empty(n);
+    let results = outs
+        .into_iter()
+        .map(|(r, s)| {
+            stats.merge(&s);
+            r
+        })
+        .collect();
+    stats.wall_nanos = wall_nanos;
+    stats.workers = par::effective_workers(workers).min(batch.len().max(1));
+    BatchOutput { results, stats }
+}
+
+/// One frame through the allocating reference router
+/// ([`Brsmn::route_reference`]), timed into a one-frame stats record.
+fn route_reference_timed(
+    net: &Brsmn,
+    asg: &MulticastAssignment,
+) -> (Result<RoutingResult, CoreError>, EngineStats) {
+    let t0 = Instant::now();
+    let r = net.route_reference(asg);
+    let nanos = t0.elapsed().as_nanos() as u64;
+    let stats = EngineStats {
+        batch: 1,
+        workers: 1,
+        frames_ok: usize::from(r.is_ok()),
+        frames_failed: usize::from(r.is_err()),
+        wall_nanos: nanos,
+        busy_nanos: nanos,
+        ..EngineStats::empty(net.n())
+    };
+    (r, stats)
+}
+
+/// Routes `repeats` batches of `frames` dense frames and returns the
+/// best-run measurement: through the engine (`fast = true`, the
+/// `"fast"` point) or frame by frame through the allocating reference
+/// router [`Brsmn::route_reference`] (`fast = false`, the
+/// `"reference"` point), each on `workers` threads.
 pub fn measure_route_path(
     n: usize,
     frames: usize,
     seed: u64,
     workers: usize,
-    use_scratch: bool,
+    fast: bool,
     repeats: usize,
 ) -> RoutePoint {
     let batch = dense_batch(n, frames, seed);
-    let cfg = if use_scratch {
-        EngineConfig::batch(workers)
-    } else {
-        EngineConfig::batch(workers).without_scratch()
+    let engine = Engine::with_config(n, EngineConfig::batch(workers)).expect("valid size");
+    let net = Brsmn::new(n).expect("valid size");
+    let run = || {
+        if fast {
+            engine.route_batch(&batch)
+        } else {
+            route_frame_by_frame(n, &batch, workers, |asg| route_reference_timed(&net, asg))
+        }
     };
-    let engine = Engine::with_config(n, cfg).expect("valid size");
     for _ in 0..WARMUP_PASSES {
-        let out = engine.route_batch(&batch);
+        let out = run();
         assert!(out.results.iter().all(|r| r.is_ok()), "warm-up routes");
     }
     let mut best: Option<EngineStats> = None;
     for _ in 0..repeats.max(1) {
-        let out = engine.route_batch(&batch);
+        let out = run();
         assert!(
             out.results.iter().all(|r| r.is_ok()),
             "dense workload routes"
@@ -300,7 +356,7 @@ pub fn measure_route_path(
     RoutePoint {
         n,
         workers: stats.workers,
-        path: if use_scratch { "fast" } else { "reference" }.into(),
+        path: if fast { "fast" } else { "reference" }.into(),
         frames_per_sec: stats.frames_per_sec(),
         ns_per_frame: stats.wall_nanos as f64 / frames as f64,
         scratch_bytes: stats.scratch_bytes,
@@ -311,43 +367,46 @@ pub fn measure_route_path(
     }
 }
 
-/// Measures pure **cold planning** throughput: a cache-less engine plans
-/// every frame of a dense batch fresh, either per frame on the wide-lane
-/// kernels (`batch_plan = false`, the `"simd-cold"` point) or in lockstep
-/// SoA chunks through the `BatchPlanner` (`batch_plan = true`, the
-/// `"batch-cold"` point). Results are asserted bit-identical between the
-/// two schedules, and the returned point records how many frames the SoA
-/// driver actually batch-planned.
+/// Measures pure **cold planning** throughput on a cache-less engine that
+/// plans every frame of a dense batch fresh: either each frame as its own
+/// one-frame `route_batch` call on the per-frame wide-lane kernels
+/// (`lockstep = false`, the `"simd-cold"` point) or the whole batch in
+/// one call, whose chunks plan in lockstep through the `BatchPlanner`
+/// (`lockstep = true`, the `"batch-cold"` point). Both run on `workers`
+/// threads. Results are asserted bit-identical between the two schedules,
+/// and the returned point records how many frames the SoA driver actually
+/// batch-planned.
 pub fn measure_cold_path(
     n: usize,
     frames: usize,
     seed: u64,
     workers: usize,
-    batch_plan: bool,
+    lockstep: bool,
     repeats: usize,
 ) -> RoutePoint {
     let batch = dense_batch(n, frames, seed);
-    let cfg = if batch_plan {
-        EngineConfig::batch(workers)
-    } else {
-        EngineConfig::batch(workers).without_batch_plan()
+    let engine = Engine::with_config(n, EngineConfig::batch(workers)).expect("valid size");
+    let one_by_one = || route_frame_by_frame(n, &batch, workers, |asg| engine.route_one(asg));
+    let run = || {
+        if lockstep {
+            engine.route_batch(&batch)
+        } else {
+            one_by_one()
+        }
     };
-    let engine = Engine::with_config(n, cfg).expect("valid size");
 
-    // Bit-identity oracle: the same batch planned per frame.
-    let want = Engine::with_config(n, EngineConfig::batch(workers).without_batch_plan())
-        .expect("valid size")
-        .route_batch(&batch);
+    // Bit-identity oracle: the same frames planned one by one.
+    let want = one_by_one();
 
     // Cold refers to the (absent) plan cache, not the arenas: unmeasured
     // warm-up passes populate the per-worker scratch before timing.
     for _ in 0..WARMUP_PASSES {
-        let out = engine.route_batch(&batch);
+        let out = run();
         assert!(out.results.iter().all(|r| r.is_ok()), "warm-up routes");
     }
     let mut best: Option<EngineStats> = None;
     for _ in 0..repeats.max(1) {
-        let out = engine.route_batch(&batch);
+        let out = run();
         for (a, b) in want.results.iter().zip(&out.results) {
             assert_eq!(
                 a.as_ref().expect("dense workload routes"),
@@ -355,7 +414,7 @@ pub fn measure_cold_path(
                 "batch planning changed a routing result"
             );
         }
-        if batch_plan {
+        if lockstep {
             assert_eq!(
                 out.stats.batch_planned_frames, frames as u64,
                 "cache-less multi-frame batches plan every frame in SoA chunks"
@@ -374,7 +433,7 @@ pub fn measure_cold_path(
     RoutePoint {
         n,
         workers: stats.workers,
-        path: if batch_plan { "batch-cold" } else { "simd-cold" }.into(),
+        path: if lockstep { "batch-cold" } else { "simd-cold" }.into(),
         frames_per_sec: stats.frames_per_sec(),
         ns_per_frame: stats.wall_nanos as f64 / frames as f64,
         scratch_bytes: stats.scratch_bytes,

@@ -11,14 +11,14 @@
 //!   compare equal as whole setting tensors, and traced replay through a
 //!   batch-captured plan reproduces the per-frame trace — including ragged
 //!   batches down to a single frame;
-//! * the engine's batched dispatch agrees with the per-frame driver under
-//!   **mixed cache hit/miss traffic** (duplicated frames, pre-warmed
-//!   entries) on results *and* on every cache counter, and both agree with
-//!   a cache-less engine.
+//! * the engine's batched dispatch agrees with routing the same frames one
+//!   `route_batch` call each under **mixed cache hit/miss traffic**
+//!   (duplicated frames, pre-warmed entries) on results *and* on every
+//!   cache counter, and both agree with a cache-less engine.
 
 use brsmn_core::{
     with_thread_batch_planner, with_thread_scratch, Brsmn, CapturedPlan, CoreError, Engine,
-    EngineConfig, MulticastAssignment, StageTimer,
+    EngineConfig, EngineStats, MulticastAssignment, StageTimer,
 };
 use proptest::collection::vec;
 use proptest::option;
@@ -137,27 +137,35 @@ proptest! {
 
         let cfg = EngineConfig::batch(1).with_plan_cache(64);
         let batched = Engine::with_config(n, cfg).expect("valid size");
-        let per_frame =
-            Engine::with_config(n, cfg.without_batch_plan()).expect("valid size");
+        let per_frame = Engine::with_config(n, cfg).expect("valid size");
         let oracle = Engine::with_config(n, EngineConfig::batch(1)).expect("valid size");
 
         assert!(batched.route_batch(&warm).results[0].is_ok());
         assert!(per_frame.route_batch(&warm).results[0].is_ok());
 
         let a = batched.route_batch(&batch);
-        let b = per_frame.route_batch(&batch);
+        // The per-frame oracle: the same frames, one route_batch call each.
+        let mut b = EngineStats::empty(n);
+        let b_results: Vec<_> = batch
+            .iter()
+            .map(|asg| {
+                let (r, s) = per_frame.route_one(asg);
+                b.merge(&s);
+                r
+            })
+            .collect();
         let c = oracle.route_batch(&batch);
-        for ((x, y), z) in a.results.iter().zip(&b.results).zip(&c.results) {
+        for ((x, y), z) in a.results.iter().zip(&b_results).zip(&c.results) {
             let x = x.as_ref().expect("shaped frames route");
             prop_assert_eq!(x, y.as_ref().expect("shaped frames route"));
             prop_assert_eq!(x, z.as_ref().expect("shaped frames route"));
         }
         // The batched dispatch must preserve the per-frame driver's cache
         // accounting exactly, not just its outputs.
-        prop_assert_eq!(a.stats.plan_hits, b.stats.plan_hits);
-        prop_assert_eq!(a.stats.plan_canonical_hits, b.stats.plan_canonical_hits);
-        prop_assert_eq!(a.stats.plan_misses, b.stats.plan_misses);
-        prop_assert_eq!(a.stats.stages.switch_settings, b.stats.stages.switch_settings);
-        prop_assert_eq!(a.stats.stages.sweep_passes, b.stats.stages.sweep_passes);
+        prop_assert_eq!(a.stats.plan_hits, b.plan_hits);
+        prop_assert_eq!(a.stats.plan_canonical_hits, b.plan_canonical_hits);
+        prop_assert_eq!(a.stats.plan_misses, b.plan_misses);
+        prop_assert_eq!(a.stats.stages.switch_settings, b.stages.switch_settings);
+        prop_assert_eq!(a.stats.stages.sweep_passes, b.stages.sweep_passes);
     }
 }

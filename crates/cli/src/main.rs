@@ -51,18 +51,15 @@ fn usage() -> &'static str {
        gen    --n N --workload W [--seed S]            print a JSON assignment\n\
        route  (--file F | --n N --workload W [--seed S])\n\
               [--engine E] [--trace]                    route an assignment\n\
-       route  --parallel [--batch B] [--workers K] [--fork-depth D] [--no-scratch]\n\
-              [--no-batch-plan] [--cache [CAP]] [--cache-load F] [--cache-save F]\n\
-              [--stats] [--plan-profile]\n\
+       route  --parallel [--batch B] [--workers K] [--cache [CAP]]\n\
+              [--cache-load F] [--cache-save F] [--stats] [--plan-profile]\n\
               batched multi-threaded routing; --plan-profile prints per-op\n\
               planning tallies (nanos need the plan-profile cargo feature);\n\
-              --no-batch-plan plans\n\
-              every frame individually instead of grouping cache misses into\n\
-              lockstep SoA chunks; --cache replays repeated (or\n\
-              relabeled) frames from the two-tier plan cache (default capacity\n\
-              256); --cache-load/--cache-save persist the working set as a\n\
-              snapshot JSON (each implies --cache); --stats prints EngineStats\n\
-              JSON; an output hash goes to stderr\n\
+              --cache replays repeated (or relabeled) frames from the\n\
+              two-tier plan cache (default capacity 256); --cache-load and\n\
+              --cache-save persist the working set as a snapshot JSON (each\n\
+              implies --cache); --stats prints EngineStats JSON; an output\n\
+              hash goes to stderr\n\
        info   --n N                                     cost/depth/time sheet\n\
        seq    --n N --dests A,B,C                       routing-tag sequence\n\
        faults --n N [--faults F] [--frames K] [--seed S] [--json] [--per-fault]\n\
@@ -261,7 +258,6 @@ fn cmd_route_parallel(args: &Args) -> Result<(), String> {
         return Err("--batch must be >= 1".into());
     }
     let workers: usize = args.get_parse("workers")?.unwrap_or(0);
-    let fork_depth: usize = args.get_parse("fork-depth")?.unwrap_or(0);
 
     // One frame per seed `seed .. seed + batch`; a `--file` frame is
     // replicated `--batch` times (repeated-frame throughput).
@@ -292,15 +288,7 @@ fn cmd_route_parallel(args: &Args) -> Result<(), String> {
     };
     let cfg = EngineConfig {
         workers,
-        parallel_halves: fork_depth > 0,
-        fork_depth,
-        // --no-scratch: escape hatch back to the PR-1 allocating reference
-        // router (results are bit-identical; only speed differs).
-        use_scratch: !args.flag("no-scratch"),
         plan_cache,
-        // --no-batch-plan: per-frame planning instead of lockstep SoA
-        // chunks (results are bit-identical; only the schedule differs).
-        batch_plan: !args.flag("no-batch-plan"),
     };
     let mut engine = Engine::with_config(n, cfg).map_err(|e| e.to_string())?;
     // Snapshot persistence wants a cache handle that outlives the engine.
@@ -342,15 +330,10 @@ fn cmd_route_parallel(args: &Args) -> Result<(), String> {
     }
     let stats = &out.stats;
     eprintln!(
-        "routed {} frames of n={} on {} worker(s){}: {:.1} frames/s, speedup {:.2}x",
+        "routed {} frames of n={} on {} worker(s): {:.1} frames/s, speedup {:.2}x",
         stats.batch,
         stats.n,
         stats.workers,
-        if stats.parallel_halves {
-            " + parallel halves"
-        } else {
-            ""
-        },
         stats.frames_per_sec(),
         stats.speedup(),
     );

@@ -45,6 +45,21 @@ use brsmn_switch::Tag;
 
 pub use brsmn_rbn::MAX_BATCH_FRAMES;
 
+/// Narrowest chunk of cache misses the [`crate::Engine`] plans in lockstep
+/// through a [`BatchPlanner`]; a narrower chunk plans frame by frame on the
+/// per-frame fast path.
+///
+/// This is the crossover measured at n = 256 on dense frames through the
+/// engine itself (timers, captures and cache inserts included): 60 paired,
+/// interleaved repeats per chunk width, lockstep against per-frame
+/// planning of the same misses (ARCHITECTURE.md lists every width). A
+/// single miss planned per frame won 31 and 37 of 60 repeats with the
+/// cache on, 36 and 44 of 60 with it off (per-frame/SoA time 0.98–1.00);
+/// from 2 misses on the lockstep chunk won (44 and 46 of 60 with the
+/// cache, 58 and 38 without; time ratio 1.03–1.04), and by 16 misses it
+/// won 50–58 of 60 (1.12–1.17).
+pub const MIN_SOA_CHUNK: usize = 2;
+
 /// Reusable SoA batch-routing arena: per-frame line buffers (frame-major),
 /// the lockstep [`BatchSweep`], one settings table per frame slot, and the
 /// shared counts scratch.
@@ -152,6 +167,10 @@ impl BatchPlanner {
     ///
     /// On the first frame error the whole call aborts with that error; the
     /// caller falls back to scalar routing for every frame of the batch.
+    /// A call the arena cannot serve — 0 or more than [`MAX_BATCH_FRAMES`]
+    /// frames, more frames than [`BatchPlanner::ensure`] sized it for, fewer
+    /// capture slots than frames, or a frame whose size is not the arena's
+    /// — returns [`CoreError::Config`] before touching any frame.
     pub fn route_frames(
         &mut self,
         wiring: &RbnWiring,
@@ -160,14 +179,29 @@ impl BatchPlanner {
         mut captures: Option<&mut [CapturedPlan]>,
     ) -> Result<(), CoreError> {
         let fr = asgs.len();
-        assert!(fr >= 1 && fr <= MAX_BATCH_FRAMES, "batch of {fr} frames");
         let n = self.n;
-        assert!(n > 0, "ensure() the arena before routing");
-        if let Some(caps) = captures.as_deref_mut() {
-            assert!(caps.len() >= fr, "one capture slot per frame");
+        let config = |msg: String| Err(CoreError::Config(msg));
+        if fr == 0 || fr > MAX_BATCH_FRAMES {
+            return config(format!(
+                "a lockstep batch holds 1..={MAX_BATCH_FRAMES} frames, got {fr}"
+            ));
         }
-        for asg in asgs {
-            assert_eq!(asg.n(), n, "assignment size mismatch");
+        if n == 0 || self.frame_capacity < fr {
+            return config(format!(
+                "the arena is sized for {} frame(s) of size {n}; ensure() it for {fr}",
+                self.frame_capacity
+            ));
+        }
+        if let Some(caps) = captures.as_deref() {
+            if caps.len() < fr {
+                return config(format!("{} capture slot(s) for {fr} frames", caps.len()));
+            }
+        }
+        if let Some((f, asg)) = asgs.iter().enumerate().find(|(_, a)| a.n() != n) {
+            return config(format!(
+                "frame {f} is an assignment of size {}, but the arena routes size {n}",
+                asg.n()
+            ));
         }
 
         let BatchPlanner {
@@ -362,6 +396,88 @@ mod tests {
                 assert_eq!(replayed, scalar_res, "f={f}");
             }
         });
+    }
+
+    /// The error of a `route_frames` call that must be rejected up front.
+    fn config_error(r: Result<(), CoreError>) -> String {
+        match r {
+            Err(CoreError::Config(msg)) => msg,
+            other => panic!("expected a Config error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn route_frames_rejects_an_empty_batch() {
+        let net = Brsmn::new(16).unwrap();
+        let mut planner = BatchPlanner::new();
+        planner.ensure(16, 4);
+        let msg =
+            config_error(planner.route_frames(net.wiring(), &[], &mut StageTimer::new(), None));
+        assert!(msg.contains("got 0"), "{msg}");
+    }
+
+    #[test]
+    fn route_frames_rejects_more_than_max_batch_frames() {
+        let n = 8;
+        let net = Brsmn::new(n).unwrap();
+        let frames = dense_frames(n, 1, 7);
+        let refs = vec![&frames[0]; MAX_BATCH_FRAMES + 1];
+        let mut planner = BatchPlanner::new();
+        planner.ensure(n, MAX_BATCH_FRAMES);
+        let msg =
+            config_error(planner.route_frames(net.wiring(), &refs, &mut StageTimer::new(), None));
+        assert!(msg.contains(&format!("got {}", MAX_BATCH_FRAMES + 1)), "{msg}");
+    }
+
+    #[test]
+    fn route_frames_rejects_an_arena_not_ensured_for_the_batch() {
+        let n = 8;
+        let net = Brsmn::new(n).unwrap();
+        let frames = dense_frames(n, 3, 7);
+        let refs: Vec<&MulticastAssignment> = frames.iter().collect();
+        // Never ensured at all …
+        let mut planner = BatchPlanner::new();
+        let msg =
+            config_error(planner.route_frames(net.wiring(), &refs, &mut StageTimer::new(), None));
+        assert!(msg.contains("ensure()"), "{msg}");
+        // … and ensured for fewer frames than the call brings.
+        planner.ensure(n, 2);
+        config_error(planner.route_frames(net.wiring(), &refs, &mut StageTimer::new(), None));
+        planner.ensure(n, 3);
+        planner
+            .route_frames(net.wiring(), &refs, &mut StageTimer::new(), None)
+            .unwrap();
+    }
+
+    #[test]
+    fn route_frames_rejects_a_short_capture_slice() {
+        let n = 8;
+        let net = Brsmn::new(n).unwrap();
+        let frames = dense_frames(n, 3, 7);
+        let refs: Vec<&MulticastAssignment> = frames.iter().collect();
+        let mut planner = BatchPlanner::new();
+        planner.ensure(n, 3);
+        let mut caps: Vec<CapturedPlan> = (0..2).map(|_| CapturedPlan::new(n).unwrap()).collect();
+        let msg = config_error(planner.route_frames(
+            net.wiring(),
+            &refs,
+            &mut StageTimer::new(),
+            Some(&mut caps),
+        ));
+        assert!(msg.contains("2 capture slot(s) for 3 frames"), "{msg}");
+    }
+
+    #[test]
+    fn route_frames_rejects_a_frame_of_another_size() {
+        let net = Brsmn::new(8).unwrap();
+        let eight = dense_frames(8, 1, 7);
+        let sixteen = dense_frames(16, 1, 7);
+        let refs = [&eight[0], &sixteen[0]];
+        let mut planner = BatchPlanner::new();
+        planner.ensure(8, 2);
+        let msg =
+            config_error(planner.route_frames(net.wiring(), &refs, &mut StageTimer::new(), None));
+        assert!(msg.contains("frame 1 is an assignment of size 16"), "{msg}");
     }
 
     #[test]

@@ -302,8 +302,8 @@ impl Brsmn {
     }
 
     /// Routes `asg` with the PR-1 allocating reference engine (recursive,
-    /// payload-splitting, array planners). Kept verbatim as the oracle for
-    /// the fast path and as the engine's `--no-scratch` escape hatch.
+    /// payload-splitting, array planners). Kept verbatim as the single
+    /// oracle for the fast path and as the resilient path's retry.
     pub fn route_reference(&self, asg: &MulticastAssignment) -> Result<RoutingResult, CoreError> {
         self.route_semantic_inner(asg, None).map(|(r, _)| r)
     }

@@ -2,21 +2,19 @@
 //!
 //! The sequential router in [`crate::brsmn`] answers "is the construction
 //! correct?". This module answers "how fast can a software realization go?"
-//! by exploiting the two sources of parallelism the BRSMN has by design:
+//! by exploiting the frame-level parallelism the BRSMN has by design:
+//! distinct multicast assignments ("frames") share no state, so a batch is
+//! spread across a scoped-thread worker pool ([`brsmn_rbn::par::par_map`]).
+//! Output order is deterministic: results are reassembled by frame index.
 //!
-//! 1. **Frame-level** — distinct multicast assignments ("frames") share no
-//!    state, so a batch is spread across a scoped-thread worker pool
-//!    ([`brsmn_rbn::par::par_map`]). Output order is deterministic: results
-//!    are reassembled by frame index.
-//! 2. **Intra-network** — after the level-`i` BSN splits a block, the upper
-//!    and lower `n/2 × n/2` sub-BRSMNs are independent (Fig. 1) and recurse
-//!    concurrently ([`brsmn_rbn::par::join`]), up to a configurable fork
-//!    depth.
-//!
-//! Both paths are **bit-identical** to the sequential engine: parallel
-//! halves compute disjoint output ranges that are concatenated in order, and
-//! the worker pool never reorders frames. Property tests in
-//! `tests/engine_equivalence.rs` pin this down.
+//! [`Engine::route_batch`] has one driver. Pass A probes the plan cache
+//! once per frame, pass B plans the cache misses — in lockstep SoA chunks
+//! through the [`crate::BatchPlanner`] when a chunk is at least
+//! [`crate::MIN_SOA_CHUNK`] frames wide, per frame on the zero-allocation
+//! fast path otherwise — and pass C replays the hits. Every schedule is
+//! **bit-identical** to routing the frames one by one with [`Brsmn::route`];
+//! `tests/engine_equivalence.rs` and `brsmn-bench`'s `simd_equivalence`
+//! pin this down.
 //!
 //! Every route is instrumented by a [`StageTimer`]: per-level wall time,
 //! blocks routed, switch settings computed, and planner sweep passes, rolled
@@ -44,15 +42,21 @@
 //! assert_eq!(out.stats.frames_ok, 8);
 //! ```
 
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::assignment::{MulticastAssignment, RoutingResult};
+use crate::batch::{with_thread_batch_planner, MIN_SOA_CHUNK};
 use crate::brsmn::{final_switch, Brsmn};
 use crate::bsn::Bsn;
-use crate::canonical::Canonicalized;
+use crate::canonical::{canonicalize, Canonicalized};
 use crate::error::CoreError;
-use crate::payload::{RoutePayload, SelfRoutedMsg, SemanticMsg};
+use crate::fastpath::{
+    route_assignment_fast_buffered, route_assignment_replay_buffered,
+    route_assignment_replay_permuted, with_thread_scratch, RouteScratch,
+};
+use crate::payload::{RoutePayload, SelfRoutedMsg};
 use crate::plancache::{plan_fingerprint, CanonicalHit, CapturedPlan, PlanCache};
 use crate::verify::{verify_routing, FaultReport};
 use brsmn_rbn::par;
@@ -61,113 +65,53 @@ use brsmn_switch::{Line, Tag};
 use brsmn_topology::log2_exact;
 use serde::{Deserialize, Serialize};
 
-/// Blocks smaller than this are never forked: the spawn/join cost of a
-/// scoped thread dwarfs the work in a tiny sub-BRSMN.
-const MIN_FORK_BLOCK: usize = 32;
-
 /// Planner tree sweeps per BSN: scatter (forward + backward), ε-divide
 /// (forward + backward), bit sort (forward + backward).
 const SWEEPS_PER_BSN: u64 = 6;
 
-/// How the [`Engine`] parallelizes and which message model it routes.
+/// How the [`Engine`] parallelizes and whether it caches plans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineConfig {
     /// Worker threads for frame-level parallelism; `0` = one per hardware
     /// thread.
     pub workers: usize,
-    /// Route the two sub-BRSMN halves of each split concurrently.
-    pub parallel_halves: bool,
-    /// Levels of the recursion allowed to fork when `parallel_halves` is on
-    /// (depth `d` forks at most `2^d − 1` extra threads per frame).
-    pub fork_depth: usize,
-    /// Route semantic batches on the zero-allocation fast path, each worker
-    /// reusing a thread-local [`crate::fastpath::RouteScratch`]. Off
-    /// (`--no-scratch` in the CLI) falls back to the PR-1 allocating
-    /// reference router; results are bit-identical either way.
-    pub use_scratch: bool,
     /// Capacity (in captured plans) of the shared [`PlanCache`] consulted
-    /// before planning each fast-path frame; `0` disables the cache. A hit
-    /// replays the snapshotted switch-setting planes bit-identically at
+    /// before planning each frame; `0` disables the cache. A hit replays
+    /// the snapshotted switch-setting planes bit-identically at
     /// execution-only cost; a miss plans as usual while capturing the plan
-    /// for next time. Only the fast path consults the cache — the reference
-    /// and self-routing models always plan fresh.
+    /// for next time. Only [`Engine::route_batch`] consults the cache — the
+    /// self-routing model always plans fresh.
     pub plan_cache: usize,
-    /// Group the cache-miss frames of a multi-frame batch into SoA chunks
-    /// planned in lockstep by the [`crate::BatchPlanner`] (up to
-    /// [`crate::MAX_BATCH_FRAMES`] frames per chunk) while cache hits keep
-    /// replaying. Off (`--no-batch-plan` in the CLI) plans every frame
-    /// individually; results, stats and cache behavior are bit-identical
-    /// either way — only the planning schedule differs.
-    pub batch_plan: bool,
 }
 
 impl Default for EngineConfig {
-    /// Frame-level parallelism on every hardware thread, no intra-frame
-    /// forking — the right default for batches.
+    /// Frame-level parallelism on every hardware thread, no plan cache —
+    /// the right default for batches.
     fn default() -> Self {
         EngineConfig::batch(0)
     }
 }
 
 impl EngineConfig {
-    /// Frame-level parallelism only, across `workers` threads (`0` = auto).
+    /// Frame-level parallelism across `workers` threads (`0` = auto).
     /// Best when the batch is large relative to the worker count.
     pub fn batch(workers: usize) -> Self {
         EngineConfig {
             workers,
-            parallel_halves: false,
-            fork_depth: 0,
-            use_scratch: true,
             plan_cache: 0,
-            batch_plan: true,
         }
     }
 
-    /// Sequential reference configuration: one worker, no forking. The
-    /// engine then matches [`Brsmn::route`] exactly while still collecting
-    /// [`EngineStats`].
+    /// Sequential configuration: one worker. The engine then matches
+    /// [`Brsmn::route`] exactly while still collecting [`EngineStats`].
     pub fn sequential() -> Self {
-        EngineConfig {
-            workers: 1,
-            parallel_halves: false,
-            fork_depth: 0,
-            use_scratch: true,
-            plan_cache: 0,
-            batch_plan: true,
-        }
-    }
-
-    /// Intra-network parallelism for latency-sensitive single frames: the
-    /// two halves of the first `fork_depth` levels recurse concurrently.
-    pub fn single_frame(fork_depth: usize) -> Self {
-        EngineConfig {
-            workers: 1,
-            parallel_halves: true,
-            fork_depth,
-            use_scratch: true,
-            plan_cache: 0,
-            batch_plan: true,
-        }
-    }
-
-    /// Disables the scratch-arena fast path (see
-    /// [`EngineConfig::use_scratch`]).
-    pub fn without_scratch(mut self) -> Self {
-        self.use_scratch = false;
-        self
+        EngineConfig::batch(1)
     }
 
     /// Enables the plan-capture cache with room for `capacity` captured
     /// plans (see [`EngineConfig::plan_cache`]; `0` disables).
     pub fn with_plan_cache(mut self, capacity: usize) -> Self {
         self.plan_cache = capacity;
-        self
-    }
-
-    /// Disables SoA batch-parallel planning (see
-    /// [`EngineConfig::batch_plan`]).
-    pub fn without_batch_plan(mut self) -> Self {
-        self.batch_plan = false;
         self
     }
 }
@@ -177,17 +121,16 @@ impl EngineConfig {
 pub struct LevelStats {
     /// BSN blocks routed at this level (summed over the batch).
     pub blocks: u64,
-    /// Wall time spent in those blocks, nanoseconds. When halves run in
-    /// parallel this sums the per-thread times, so levels below a fork
-    /// can exceed elapsed wall time.
+    /// Wall time spent in those blocks, nanoseconds, summed over the
+    /// workers, so with several workers it can exceed elapsed wall time.
     pub nanos: u64,
 }
 
 /// Accumulates per-stage instrumentation during a route.
 ///
-/// One timer lives on each worker (and each forked half); [`StageTimer::merge`]
-/// folds them into the batch total. Exposed so external drivers (benches,
-/// the CLI) can instrument custom routing loops.
+/// One timer lives on each worker; [`StageTimer::merge`] folds them into
+/// the batch total. Exposed so external drivers (benches, the CLI) can
+/// instrument custom routing loops.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StageTimer {
     /// Per-level counters, index `i` = BSN level `i + 1`.
@@ -255,7 +198,7 @@ impl StageTimer {
         self.switch_settings += switches;
     }
 
-    /// Folds another timer (a worker's or a forked half's) into this one.
+    /// Folds another timer (another worker's) into this one.
     pub fn merge(&mut self, other: &StageTimer) {
         if self.levels.len() < other.levels.len() {
             self.levels.resize(other.levels.len(), LevelStats::default());
@@ -281,8 +224,6 @@ pub struct EngineStats {
     pub batch: usize,
     /// Worker threads actually used for frame-level parallelism.
     pub workers: usize,
-    /// Whether sub-BRSMN halves recursed concurrently.
-    pub parallel_halves: bool,
     /// Frames routed successfully.
     pub frames_ok: usize,
     /// Frames that returned an error (or, on the resilient path, exhausted
@@ -302,9 +243,9 @@ pub struct EngineStats {
     /// Sum of per-frame route times, nanoseconds. `busy_nanos / wall_nanos`
     /// approximates the achieved parallel speedup.
     pub busy_nanos: u64,
-    /// Frames routed on the zero-allocation fast path (0 when
-    /// [`EngineConfig::use_scratch`] is off or the model forces the
-    /// reference router).
+    /// Frames routed on the zero-allocation fast path: every frame of
+    /// [`Engine::route_batch`] but those rejected for a wrong size, and 0
+    /// on the self-routing and resilient paths.
     pub fastpath_frames: u64,
     /// Largest per-worker scratch-arena footprint observed, bytes (0 on the
     /// reference path).
@@ -314,8 +255,8 @@ pub struct EngineStats {
     /// [`EngineConfig::plan_cache`] is 0).
     pub plan_hits: u64,
     /// Fast-path frames that missed both cache tiers and planned fresh
-    /// while capturing (equals `fastpath_frames` when the cache is cold or
-    /// off).
+    /// while capturing (equals `fastpath_frames` when the cache is cold,
+    /// 0 with the cache off).
     pub plan_misses: u64,
     /// The subset of `plan_hits` served by the exact tier (the stored
     /// assignment equalled the frame's).
@@ -340,10 +281,11 @@ pub struct EngineStats {
     /// path, whose array-based planners don't vectorize. Merges by max.
     pub simd_lane_width: u64,
     /// Frames planned in lockstep SoA chunks by the
-    /// [`crate::BatchPlanner`] — a subset of `plan_misses` when the cache
-    /// is on (hits keep replaying) and of `fastpath_frames` always. 0 with
-    /// [`EngineConfig::batch_plan`] off, for single-frame batches, and for
-    /// frames that fell back to per-frame scalar planning.
+    /// [`crate::BatchPlanner`]: the cache misses that fell in a chunk of
+    /// at least [`crate::MIN_SOA_CHUNK`] frames (a subset of `plan_misses`
+    /// with the cache on, of `fastpath_frames` always). Misses in narrower
+    /// chunks, and frames of a lockstep chunk that failed and fell back to
+    /// per-frame planning, are not counted.
     pub batch_planned_frames: u64,
     /// Live member nodes of the distributed control plane that striped
     /// this batch (`brsmn-cluster`'s `DistributedEngine`; 0 for
@@ -381,13 +323,13 @@ impl EngineStats {
     }
 
     /// An empty stats record for an `n`-port fabric — the identity of
-    /// [`EngineStats::merge`], for accumulating shard or round totals.
+    /// [`EngineStats::merge`], and the base every driver's record is built
+    /// from by struct update.
     pub fn empty(n: usize) -> Self {
         EngineStats {
             n,
             batch: 0,
             workers: 0,
-            parallel_halves: false,
             frames_ok: 0,
             frames_failed: 0,
             frames_retried: 0,
@@ -428,7 +370,6 @@ impl EngineStats {
         debug_assert_eq!(self.n, other.n, "merging stats across network sizes");
         self.batch += other.batch;
         self.workers += other.workers;
-        self.parallel_halves |= other.parallel_halves;
         self.frames_ok += other.frames_ok;
         self.frames_failed += other.frames_failed;
         self.frames_retried += other.frames_retried;
@@ -542,17 +483,19 @@ pub struct Engine {
     plan_cache: Option<Arc<PlanCache>>,
 }
 
-/// Pass-A verdict for one frame of a batched fast-path route
-/// ([`Engine::route_batch_fast_batched`]).
+/// One frame's slot in a batch route: `None` until a pass routes it.
+type Slot = Option<Result<RoutingResult, CoreError>>;
+
+/// Pass-A verdict for a frame that does not plan in pass B.
 enum FrameProbe {
     /// Replay this already-looked-up exact-tier plan.
     ExactHit(Arc<CapturedPlan>),
     /// Replay this canonical-tier hit through the permuted executor.
     CanonHit(CanonicalHit),
-    /// An earlier in-batch miss claimed this frame's fingerprint or
-    /// relabeling class: route after the SoA chunks land, through the
-    /// normal per-frame ladder (it then hits what the chunk inserted — or
-    /// re-plans if the chunk failed, byte-identically to scalar routing).
+    /// An earlier miss of this batch claimed the frame's fingerprint or
+    /// relabeling class: probe again in pass C, after pass B's inserts
+    /// (it then hits what the miss inserted — or re-plans if that miss
+    /// failed, exactly as routing the frames one call each would).
     Deferred,
 }
 
@@ -560,16 +503,80 @@ enum FrameProbe {
 /// the fingerprint and canonical form its inserts are keyed by.
 type Miss = (usize, Option<(u64, Canonicalized)>);
 
-/// What one SoA chunk (or its scalar fallback) produced.
-struct ChunkOut {
-    /// `(frame index, result)` for every frame of the chunk.
-    entries: Vec<(usize, Result<RoutingResult, CoreError>)>,
+/// Timers and counters one worker's share of a batch adds to
+/// [`EngineStats`].
+#[derive(Default)]
+struct Tally {
     timer: StageTimer,
     busy_nanos: u64,
     scratch_bytes: u64,
-    /// `[exact_hits, canonical_hits, misses, evictions]`.
-    tallies: [u64; 4],
+    exact_hits: u64,
+    canonical_hits: u64,
+    misses: u64,
+    evictions: u64,
     batch_planned: u64,
+}
+
+impl Tally {
+    fn merge(&mut self, other: &Tally) {
+        self.timer.merge(&other.timer);
+        self.busy_nanos += other.busy_nanos;
+        self.scratch_bytes = self.scratch_bytes.max(other.scratch_bytes);
+        self.exact_hits += other.exact_hits;
+        self.canonical_hits += other.canonical_hits;
+        self.misses += other.misses;
+        self.evictions += other.evictions;
+        self.batch_planned += other.batch_planned;
+    }
+}
+
+/// Inserts a fresh capture under its exact key and — since one plan serves
+/// its whole relabeling class — under its canonical key. Returns the
+/// evictions the two inserts caused.
+fn insert_capture(
+    cache: &PlanCache,
+    fp: u64,
+    asg: &MulticastAssignment,
+    canon: &Canonicalized,
+    plan: CapturedPlan,
+) -> u64 {
+    let plan = Arc::new(plan);
+    u64::from(cache.insert(fp, asg, Arc::clone(&plan)))
+        + u64::from(cache.insert_canonical(canon, plan))
+}
+
+/// Splits `batch` into frames of the engine's size, which leave their slot
+/// `None`, and frames of any other size, whose slot gets a typed error.
+/// Returns the slots and the number of frames to route.
+fn reject_wrong_size(n: usize, batch: &[MulticastAssignment]) -> (Vec<Slot>, usize) {
+    let mut routed = 0;
+    let slots = batch
+        .iter()
+        .enumerate()
+        .map(|(i, asg)| {
+            if asg.n() == n {
+                routed += 1;
+                None
+            } else {
+                Some(Err(CoreError::Config(format!(
+                    "frame {i} is an assignment of size {}, but the engine routes size {n}",
+                    asg.n()
+                ))))
+            }
+        })
+        .collect();
+    (slots, routed)
+}
+
+/// Unwraps the filled slots and counts `(ok, failed)` frames.
+fn collect_results(slots: Vec<Slot>) -> (Vec<Result<RoutingResult, CoreError>>, usize, usize) {
+    let results: Vec<_> = slots
+        .into_iter()
+        .map(|s| s.expect("every frame is routed or rejected exactly once"))
+        .collect();
+    let ok = results.iter().filter(|r| r.is_ok()).count();
+    let failed = results.len() - ok;
+    (results, ok, failed)
 }
 
 impl Engine {
@@ -617,503 +624,341 @@ impl Engine {
         self.plan_cache = Some(cache);
     }
 
-    /// Routes a batch of frames with the **semantic** message model.
+    /// Routes a batch of frames with the **semantic** message model on the
+    /// zero-allocation fast path, each worker reusing its thread-local
+    /// arenas.
     ///
     /// Results come back in input order and are bit-identical to calling
-    /// [`Brsmn::route`] on each frame sequentially. With
-    /// [`EngineConfig::use_scratch`] on (the default) and no intra-frame
-    /// forking, frames run on the zero-allocation fast path, each worker
-    /// reusing its thread-local arena.
+    /// [`Brsmn::route`] on each frame sequentially. A frame whose size is
+    /// not the engine's gets [`CoreError::Config`] in its slot and never
+    /// reaches the cache or a planner. The driver runs three passes, which
+    /// only reorder *when* each frame runs, never what it computes — the
+    /// results, cache tallies and captured plans equal those of routing
+    /// the frames one `route_batch` call each:
+    ///
+    /// * **Pass A** (sequential) probes the [`PlanCache`], if configured,
+    ///   once per tier per frame: the assignment fingerprint first (an
+    ///   exact hit replays the captured setting planes verbatim), then the
+    ///   canonical relabeling class (a canonical hit replays a class
+    ///   member's plan through the permuted executor). A frame whose
+    ///   fingerprint or class an earlier miss of this batch already claimed
+    ///   is *deferred*, so no plan is computed twice within the batch.
+    /// * **Pass B** spreads the misses over the workers in chunks of up to
+    ///   [`crate::MAX_BATCH_FRAMES`] frames. A chunk of at least
+    ///   [`crate::MIN_SOA_CHUNK`] frames plans in lockstep through a
+    ///   thread-local [`crate::BatchPlanner`]; a narrower one plans frame
+    ///   by frame. With a cache, each plan is captured and inserted into
+    ///   both tiers. A lockstep chunk that fails re-plans every one of its
+    ///   frames one by one, so error values stay byte-identical to scalar
+    ///   routing.
+    /// * **Pass C** replays the hits and routes the deferred frames
+    ///   through a fresh probe of the (now warmed) cache.
     pub fn route_batch(&self, batch: &[MulticastAssignment]) -> BatchOutput {
-        if self.cfg.use_scratch && !self.cfg.parallel_halves {
-            self.route_batch_fast(batch)
-        } else {
-            self.route_batch_with(batch, |_n, src, dests| {
-                SemanticMsg::new(src, dests.to_vec())
-            })
-        }
-    }
-
-    /// The fast-path batch driver: one thread-local [`RouteScratch`] per
-    /// worker, zero heap allocation per frame after warm-up (one `Vec` per
-    /// result aside). With a [`PlanCache`] configured, each frame probes
-    /// two tiers: the assignment fingerprint first (an exact hit replays
-    /// the captured setting planes verbatim — no planner sweeps at all),
-    /// then the canonical relabeling class (a canonical hit replays a
-    /// class member's plan through the permuted executor). A miss in both
-    /// plans fresh while capturing, and inserts the capture into both
-    /// tiers for the next occurrence — exact or relabeled.
-    ///
-    /// Multi-frame batches with [`EngineConfig::batch_plan`] on take the
-    /// SoA batched driver instead, which plans all cache-miss frames in
-    /// lockstep; single frames and the `--no-batch-plan` escape hatch run
-    /// this per-frame loop.
-    fn route_batch_fast(&self, batch: &[MulticastAssignment]) -> BatchOutput {
-        if self.cfg.batch_plan && batch.len() > 1 {
-            return self.route_batch_fast_batched(batch);
-        }
         let n = self.net.n();
         let workers = par::effective_workers(self.cfg.workers).min(batch.len().max(1));
         let cache = self.plan_cache.as_deref();
-
         let wall_start = Instant::now();
-        let frames = par::par_map(batch, workers, |_idx, asg| {
-            let frame_start = Instant::now();
-            let mut timer = StageTimer::new();
-            let (result, bytes, tallies) = self.route_frame_cached(asg, &mut timer);
-            (
-                result,
-                timer,
-                frame_start.elapsed().as_nanos() as u64,
-                bytes,
-                tallies,
-            )
-        });
-        let wall_nanos = wall_start.elapsed().as_nanos() as u64;
-
-        let mut stages = StageTimer::new();
-        let mut busy_nanos = 0u64;
-        let mut scratch_bytes = 0u64;
-        let mut results = Vec::with_capacity(frames.len());
-        let (mut frames_ok, mut frames_failed) = (0usize, 0usize);
-        let mut cache_tallies = [0u64; 4];
-        for (result, timer, frame_nanos, bytes, tallies) in frames {
-            stages.merge(&timer);
-            busy_nanos += frame_nanos;
-            scratch_bytes = scratch_bytes.max(bytes);
-            for (acc, d) in cache_tallies.iter_mut().zip(tallies) {
-                *acc += d;
-            }
-            match &result {
-                Ok(_) => frames_ok += 1,
-                Err(_) => frames_failed += 1,
-            }
-            results.push(result);
-        }
-        let [plan_exact_hits, plan_canonical_hits, plan_misses, plan_evictions] = cache_tallies;
-
-        BatchOutput {
-            results,
-            stats: EngineStats {
-                n,
-                batch: batch.len(),
-                workers,
-                parallel_halves: false,
-                frames_ok,
-                frames_failed,
-                frames_retried: 0,
-                frames_degraded: 0,
-                stages,
-                wall_nanos,
-                busy_nanos,
-                fastpath_frames: batch.len() as u64,
-                scratch_bytes,
-                plan_hits: plan_exact_hits + plan_canonical_hits,
-                plan_misses,
-                plan_exact_hits,
-                plan_canonical_hits,
-                plan_evictions,
-                plan_cache_bytes: cache.map_or(0, |c| c.footprint_bytes() as u64),
-                plan_snapshot_loaded: cache.map_or(0, |c| c.stats().snapshot_loaded),
-                simd_lane_width: brsmn_rbn::LANES as u64,
-                batch_planned_frames: 0,
-                cluster_nodes: 0,
-                cluster_messages: 0,
-                cluster_messages_dropped: 0,
-                cluster_epoch: 0,
-            },
-        }
-    }
-
-    /// Routes one fast-path frame through the full per-frame ladder:
-    /// exact-tier replay, then canonical-tier permuted replay, then fresh
-    /// planning with capture and two-tier insertion. Returns the result,
-    /// the scratch footprint in bytes, and the cache tallies
-    /// `[exact_hits, canonical_hits, misses, evictions]`.
-    fn route_frame_cached(
-        &self,
-        asg: &MulticastAssignment,
-        timer: &mut StageTimer,
-    ) -> (Result<RoutingResult, CoreError>, u64, [u64; 4]) {
-        use crate::fastpath::{
-            route_assignment_fast_buffered, route_assignment_replay_buffered,
-            route_assignment_replay_permuted, with_thread_scratch,
-        };
-        let n = self.net.n();
-        let cache = self.plan_cache.as_deref();
-        let (mut exact_hit, mut canon_hit, mut miss, mut evict) = (0u64, 0u64, 0u64, 0u64);
-        let (result, bytes) = with_thread_scratch(n, |scratch| {
-            let r = match cache {
-                None => route_assignment_fast_buffered(
-                    n,
-                    self.net.wiring(),
-                    asg,
-                    scratch,
-                    None,
-                    Some(timer),
-                    None,
-                ),
-                Some(cache) => {
-                    let fp = plan_fingerprint(asg);
-                    if let Some(plan) = cache.lookup(fp, asg) {
-                        exact_hit = 1;
-                        route_assignment_replay_buffered(
-                            n,
-                            self.net.wiring(),
-                            asg,
-                            &plan,
-                            scratch,
-                            None,
-                            Some(timer),
-                        )
-                    } else {
-                        // Canonicalized once per exact miss: the probe's
-                        // form also keys a miss's canonical insert.
-                        let canon = crate::canonical::canonicalize(asg);
-                        if let Some(hit) = cache.lookup_canonical(&canon) {
-                            canon_hit = 1;
-                            route_assignment_replay_permuted(
-                                n,
-                                self.net.wiring(),
-                                asg,
-                                &hit.plan,
-                                &hit.input_map,
-                                &hit.output_map,
-                                scratch,
-                                Some(timer),
-                            )
-                        } else {
-                            miss = 1;
-                            CapturedPlan::new(n).and_then(|mut plan| {
-                                let r = route_assignment_fast_buffered(
-                                    n,
-                                    self.net.wiring(),
-                                    asg,
-                                    scratch,
-                                    None,
-                                    Some(timer),
-                                    Some(&mut plan),
-                                );
-                                if r.is_ok() {
-                                    let plan = Arc::new(plan);
-                                    if cache.insert(fp, asg, Arc::clone(&plan)) {
-                                        evict = 1;
-                                    }
-                                    // The same capture seeds its whole
-                                    // relabeling class.
-                                    if cache.insert_canonical(&canon, plan) {
-                                        evict = 1;
-                                    }
-                                }
-                                r
-                            })
-                        }
-                    }
-                }
-            };
-            (r, scratch.footprint_bytes() as u64)
-        });
-        (result, bytes, [exact_hit, canon_hit, miss, evict])
-    }
-
-    /// The batched fast-path driver ([`EngineConfig::batch_plan`]): probe
-    /// the cache once per frame, group the misses into SoA chunks planned
-    /// in lockstep by [`crate::BatchPlanner`], then serve hits by replay
-    /// and deferred duplicates through the per-frame ladder. Results,
-    /// hit/miss tallies and captured plans are identical to the per-frame
-    /// driver's — the passes only reorder *when* each frame runs, never
-    /// what it computes:
-    ///
-    /// * **Pass A** (sequential) classifies each frame: exact hit,
-    ///   canonical hit, miss, or *deferred* — an earlier miss in this
-    ///   batch already claimed the same fingerprint or relabeling class,
-    ///   so probing now would miss but by pass C the chunk's insert serves
-    ///   it, exactly like the sequential per-frame driver's later-frame
-    ///   hits.
-    /// * **Pass B** fans the misses out in chunks of up to
-    ///   [`crate::MAX_BATCH_FRAMES`] frames through thread-local
-    ///   [`crate::BatchPlanner`] arenas; each chunk success inserts its
-    ///   captures into both cache tiers. A chunk that fails re-routes
-    ///   every one of its frames through the per-frame ladder so error
-    ///   values stay byte-identical to scalar routing.
-    /// * **Pass C** replays the pass-A hits and routes the deferred
-    ///   frames.
-    fn route_batch_fast_batched(&self, batch: &[MulticastAssignment]) -> BatchOutput {
-        use crate::batch::with_thread_batch_planner;
-        use crate::fastpath::{
-            route_assignment_replay_buffered, route_assignment_replay_permuted,
-            with_thread_scratch,
-        };
-        use std::collections::HashSet;
-
-        let n = self.net.n();
-        let workers = par::effective_workers(self.cfg.workers).min(batch.len().max(1));
-        let cache = self.plan_cache.as_deref();
-        let wiring = self.net.wiring();
-        let wall_start = Instant::now();
+        let (mut slots, routed) = reject_wrong_size(n, batch);
 
         // Pass A: classify every frame with at most one probe per cache
-        // tier, claiming each fingerprint / relabeling class for its first
-        // miss so no plan is computed twice within the batch. A miss keeps
-        // its fingerprint and canonical form as the keys of its inserts.
+        // tier. A miss keeps its fingerprint and canonical form as the keys
+        // of its inserts.
         let mut probes: Vec<(usize, FrameProbe)> = Vec::new();
         let mut misses: Vec<Miss> = Vec::new();
-        match cache {
-            None => misses.extend((0..batch.len()).map(|i| (i, None))),
-            Some(cache) => {
-                let mut claimed_fp: HashSet<u64> = HashSet::new();
-                let mut claimed_class: HashSet<u64> = HashSet::new();
-                for (i, asg) in batch.iter().enumerate() {
-                    let fp = plan_fingerprint(asg);
-                    if claimed_fp.contains(&fp) {
-                        probes.push((i, FrameProbe::Deferred));
-                        continue;
-                    }
-                    if let Some(plan) = cache.lookup(fp, asg) {
-                        probes.push((i, FrameProbe::ExactHit(plan)));
-                        continue;
-                    }
-                    let canon = crate::canonical::canonicalize(asg);
-                    if claimed_class.contains(&canon.fingerprint()) {
-                        probes.push((i, FrameProbe::Deferred));
-                        continue;
-                    }
-                    if let Some(hit) = cache.lookup_canonical(&canon) {
-                        probes.push((i, FrameProbe::CanonHit(hit)));
-                        continue;
-                    }
-                    claimed_fp.insert(fp);
-                    claimed_class.insert(canon.fingerprint());
-                    misses.push((i, Some((fp, canon))));
-                }
+        let mut claimed_fp: HashSet<u64> = HashSet::new();
+        let mut claimed_class: HashSet<u64> = HashSet::new();
+        for (i, asg) in batch.iter().enumerate() {
+            if slots[i].is_some() {
+                continue;
             }
+            let Some(cache) = cache else {
+                misses.push((i, None));
+                continue;
+            };
+            let fp = plan_fingerprint(asg);
+            if claimed_fp.contains(&fp) {
+                probes.push((i, FrameProbe::Deferred));
+                continue;
+            }
+            if let Some(plan) = cache.lookup(fp, asg) {
+                probes.push((i, FrameProbe::ExactHit(plan)));
+                continue;
+            }
+            let canon = canonicalize(asg);
+            if claimed_class.contains(&canon.fingerprint()) {
+                probes.push((i, FrameProbe::Deferred));
+                continue;
+            }
+            if let Some(hit) = cache.lookup_canonical(&canon) {
+                probes.push((i, FrameProbe::CanonHit(hit)));
+                continue;
+            }
+            claimed_fp.insert(fp);
+            claimed_class.insert(canon.fingerprint());
+            misses.push((i, Some((fp, canon))));
         }
 
-        // Pass B: lockstep-plan the misses. Chunks spread across the
-        // worker pool while respecting the SoA frame cap.
-        let chunk_size = misses
+        // Pass B: plan the misses in balanced chunks, one or more per
+        // worker, none wider than the SoA frame cap.
+        let chunk_count = misses
             .len()
-            .div_ceil(workers.max(1))
-            .clamp(1, crate::MAX_BATCH_FRAMES);
+            .div_ceil(crate::MAX_BATCH_FRAMES)
+            .max(workers);
+        let chunk_size = misses.len().div_ceil(chunk_count).max(1);
         let chunks: Vec<&[Miss]> = misses.chunks(chunk_size).collect();
-        let chunk_outs = par::par_map(&chunks, workers, |_ci, chunk| {
-            let chunk: &[Miss] = chunk;
+        let planned = par::par_map(&chunks, workers, |_, chunk| {
             let t0 = Instant::now();
-            let mut timer = StageTimer::new();
-            let planned: Result<(Vec<Result<RoutingResult, CoreError>>, u64, u64), CoreError> =
-                with_thread_batch_planner(n, chunk.len(), |bp| {
-                    let mut refs: [&MulticastAssignment; crate::MAX_BATCH_FRAMES] =
-                        [&batch[0]; crate::MAX_BATCH_FRAMES];
-                    for (k, &(i, _)) in chunk.iter().enumerate() {
-                        refs[k] = &batch[i];
+            let mut tally = Tally::default();
+            let mut entries = Vec::with_capacity(chunk.len());
+            let soa = chunk.len() >= MIN_SOA_CHUNK
+                && self.plan_chunk_soa(batch, chunk, &mut tally, &mut entries).is_ok();
+            if !soa {
+                // Per-frame planning; after a failed lockstep chunk, the
+                // partial timer and results are discarded so nothing is
+                // counted twice.
+                tally = Tally::default();
+                entries.clear();
+                with_thread_scratch(n, |scratch| {
+                    for (i, keys) in chunk.iter() {
+                        let keys = keys.as_ref().map(|(fp, canon)| (*fp, canon));
+                        let r = self.plan_one(&batch[*i], keys, scratch, &mut tally);
+                        entries.push((*i, r));
                     }
-                    let refs = &refs[..chunk.len()];
-                    let mut evictions = 0u64;
-                    match cache {
-                        None => bp.route_frames(wiring, refs, &mut timer, None)?,
-                        Some(cache) => {
-                            let mut caps = Vec::with_capacity(chunk.len());
-                            for _ in 0..chunk.len() {
-                                caps.push(CapturedPlan::new(n)?);
-                            }
-                            bp.route_frames(wiring, refs, &mut timer, Some(&mut caps))?;
-                            for ((i, keys), plan) in chunk.iter().zip(caps) {
-                                let Some((fp, canon)) = keys else { continue };
-                                let plan = Arc::new(plan);
-                                if cache.insert(*fp, &batch[*i], Arc::clone(&plan)) {
-                                    evictions += 1;
-                                }
-                                // The same capture seeds its whole
-                                // relabeling class.
-                                if cache.insert_canonical(canon, plan) {
-                                    evictions += 1;
-                                }
-                            }
-                        }
-                    }
-                    Ok((
-                        (0..chunk.len()).map(|k| Ok(bp.frame_result(k))).collect(),
-                        evictions,
-                        bp.footprint_bytes() as u64,
-                    ))
+                    tally.scratch_bytes = scratch.footprint_bytes() as u64;
                 });
-            match planned {
-                Ok((results, evictions, bytes)) => ChunkOut {
-                    entries: chunk.iter().map(|&(i, _)| i).zip(results).collect(),
-                    timer,
-                    busy_nanos: t0.elapsed().as_nanos() as u64,
-                    scratch_bytes: bytes,
-                    // Misses are a cache statistic: without a cache there is
-                    // nothing to miss (matching the per-frame driver).
-                    tallies: [
-                        0,
-                        0,
-                        if cache.is_some() { chunk.len() as u64 } else { 0 },
-                        evictions,
-                    ],
-                    batch_planned: chunk.len() as u64,
-                },
-                Err(_) => {
-                    // All-or-nothing: any frame error reroutes the whole
-                    // chunk through the per-frame ladder, so each frame's
-                    // result — error values included — is byte-identical
-                    // to scalar routing. The partial lockstep timer is
-                    // discarded to avoid double-counting.
-                    let mut timer = StageTimer::new();
-                    let mut entries = Vec::with_capacity(chunk.len());
-                    let mut tallies = [0u64; 4];
-                    let mut bytes = 0u64;
-                    let mut busy = 0u64;
-                    for &(i, _) in chunk {
-                        let f0 = Instant::now();
-                        let (result, b, t) = self.route_frame_cached(&batch[i], &mut timer);
-                        busy += f0.elapsed().as_nanos() as u64;
-                        bytes = bytes.max(b);
-                        for (acc, d) in tallies.iter_mut().zip(t) {
-                            *acc += d;
-                        }
-                        entries.push((i, result));
-                    }
-                    ChunkOut {
-                        entries,
-                        timer,
-                        busy_nanos: busy,
-                        scratch_bytes: bytes,
-                        tallies,
-                        batch_planned: 0,
-                    }
-                }
             }
+            tally.busy_nanos = t0.elapsed().as_nanos() as u64;
+            (entries, tally)
         });
 
         // Pass C: replay the hits; deferred frames re-probe the (now
-        // warmed) cache through the normal per-frame ladder.
-        let hit_outs = par::par_map(&probes, workers, |_k, (i, probe)| {
+        // warmed) cache.
+        let replayed = par::par_map(&probes, workers, |_, (i, probe)| {
             let t0 = Instant::now();
-            let mut timer = StageTimer::new();
-            let (result, bytes, tallies) = match probe {
-                FrameProbe::ExactHit(plan) => with_thread_scratch(n, |scratch| {
-                    let r = route_assignment_replay_buffered(
-                        n,
-                        wiring,
-                        &batch[*i],
-                        plan,
-                        scratch,
-                        None,
-                        Some(&mut timer),
-                    );
-                    (r, scratch.footprint_bytes() as u64, [1, 0, 0, 0])
-                }),
-                FrameProbe::CanonHit(hit) => with_thread_scratch(n, |scratch| {
-                    let r = route_assignment_replay_permuted(
-                        n,
-                        wiring,
-                        &batch[*i],
-                        &hit.plan,
-                        &hit.input_map,
-                        &hit.output_map,
-                        scratch,
-                        Some(&mut timer),
-                    );
-                    (r, scratch.footprint_bytes() as u64, [0, 1, 0, 0])
-                }),
-                FrameProbe::Deferred => self.route_frame_cached(&batch[*i], &mut timer),
-            };
-            (
-                *i,
-                result,
-                timer,
-                t0.elapsed().as_nanos() as u64,
-                bytes,
-                tallies,
-            )
+            let mut tally = Tally::default();
+            let asg = &batch[*i];
+            let r = with_thread_scratch(n, |scratch| {
+                let r = match probe {
+                    FrameProbe::ExactHit(plan) => {
+                        tally.exact_hits = 1;
+                        self.replay_exact(asg, plan, scratch, &mut tally.timer)
+                    }
+                    FrameProbe::CanonHit(hit) => {
+                        tally.canonical_hits = 1;
+                        self.replay_canonical(asg, hit, scratch, &mut tally.timer)
+                    }
+                    FrameProbe::Deferred => self.route_frame_cached(asg, scratch, &mut tally),
+                };
+                tally.scratch_bytes = scratch.footprint_bytes() as u64;
+                r
+            });
+            tally.busy_nanos = t0.elapsed().as_nanos() as u64;
+            (*i, r, tally)
         });
         let wall_nanos = wall_start.elapsed().as_nanos() as u64;
 
-        let mut stages = StageTimer::new();
-        let mut busy_nanos = 0u64;
-        let mut scratch_bytes = 0u64;
-        let mut cache_tallies = [0u64; 4];
-        let mut batch_planned_frames = 0u64;
-        let mut slots: Vec<Option<Result<RoutingResult, CoreError>>> =
-            (0..batch.len()).map(|_| None).collect();
-        for out in chunk_outs {
-            stages.merge(&out.timer);
-            busy_nanos += out.busy_nanos;
-            scratch_bytes = scratch_bytes.max(out.scratch_bytes);
-            for (acc, d) in cache_tallies.iter_mut().zip(out.tallies) {
-                *acc += d;
-            }
-            batch_planned_frames += out.batch_planned;
-            for (i, r) in out.entries {
+        let mut total = Tally::default();
+        for (entries, tally) in planned {
+            total.merge(&tally);
+            for (i, r) in entries {
                 slots[i] = Some(r);
             }
         }
-        for (i, result, timer, nanos, bytes, tallies) in hit_outs {
-            stages.merge(&timer);
-            busy_nanos += nanos;
-            scratch_bytes = scratch_bytes.max(bytes);
-            for (acc, d) in cache_tallies.iter_mut().zip(tallies) {
-                *acc += d;
-            }
-            slots[i] = Some(result);
+        for (i, r, tally) in replayed {
+            total.merge(&tally);
+            slots[i] = Some(r);
         }
-        let results: Vec<Result<RoutingResult, CoreError>> = slots
-            .into_iter()
-            .map(|s| s.expect("every frame is routed by exactly one pass"))
-            .collect();
-        let (mut frames_ok, mut frames_failed) = (0usize, 0usize);
-        for r in &results {
-            match r {
-                Ok(_) => frames_ok += 1,
-                Err(_) => frames_failed += 1,
-            }
-        }
-        let [plan_exact_hits, plan_canonical_hits, plan_misses, plan_evictions] = cache_tallies;
+        let (results, frames_ok, frames_failed) = collect_results(slots);
 
         BatchOutput {
             results,
             stats: EngineStats {
-                n,
                 batch: batch.len(),
                 workers,
-                parallel_halves: false,
                 frames_ok,
                 frames_failed,
-                frames_retried: 0,
-                frames_degraded: 0,
-                stages,
+                stages: total.timer,
                 wall_nanos,
-                busy_nanos,
-                fastpath_frames: batch.len() as u64,
-                scratch_bytes,
-                plan_hits: plan_exact_hits + plan_canonical_hits,
-                plan_misses,
-                plan_exact_hits,
-                plan_canonical_hits,
-                plan_evictions,
+                busy_nanos: total.busy_nanos,
+                fastpath_frames: routed as u64,
+                scratch_bytes: total.scratch_bytes,
+                plan_hits: total.exact_hits + total.canonical_hits,
+                plan_misses: total.misses,
+                plan_exact_hits: total.exact_hits,
+                plan_canonical_hits: total.canonical_hits,
+                plan_evictions: total.evictions,
                 plan_cache_bytes: cache.map_or(0, |c| c.footprint_bytes() as u64),
                 plan_snapshot_loaded: cache.map_or(0, |c| c.stats().snapshot_loaded),
                 simd_lane_width: brsmn_rbn::LANES as u64,
-                batch_planned_frames,
-                cluster_nodes: 0,
-                cluster_messages: 0,
-                cluster_messages_dropped: 0,
-                cluster_epoch: 0,
+                batch_planned_frames: total.batch_planned,
+                ..EngineStats::empty(n)
             },
         }
     }
 
+    /// Plans one chunk of misses in lockstep through this thread's
+    /// [`crate::BatchPlanner`], inserting every capture into the cache if
+    /// one is configured. All or nothing: on the first frame error nothing
+    /// is inserted and the error returns.
+    fn plan_chunk_soa(
+        &self,
+        batch: &[MulticastAssignment],
+        chunk: &[Miss],
+        tally: &mut Tally,
+        entries: &mut Vec<(usize, Result<RoutingResult, CoreError>)>,
+    ) -> Result<(), CoreError> {
+        let n = self.net.n();
+        let cache = self.plan_cache.as_deref();
+        with_thread_batch_planner(n, chunk.len(), |bp| {
+            let mut refs: [&MulticastAssignment; crate::MAX_BATCH_FRAMES] =
+                [&batch[chunk[0].0]; crate::MAX_BATCH_FRAMES];
+            for (k, &(i, _)) in chunk.iter().enumerate() {
+                refs[k] = &batch[i];
+            }
+            let refs = &refs[..chunk.len()];
+            match cache {
+                None => bp.route_frames(self.net.wiring(), refs, &mut tally.timer, None)?,
+                Some(cache) => {
+                    let mut caps = Vec::with_capacity(chunk.len());
+                    for _ in 0..chunk.len() {
+                        caps.push(CapturedPlan::new(n)?);
+                    }
+                    bp.route_frames(self.net.wiring(), refs, &mut tally.timer, Some(&mut caps))?;
+                    for ((i, keys), plan) in chunk.iter().zip(caps) {
+                        if let Some((fp, canon)) = keys {
+                            tally.evictions += insert_capture(cache, *fp, &batch[*i], canon, plan);
+                        }
+                    }
+                    // Misses are a cache statistic: without a cache there
+                    // is nothing to miss.
+                    tally.misses += chunk.len() as u64;
+                }
+            }
+            entries.extend(
+                chunk
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &(i, _))| (i, Ok(bp.frame_result(k)))),
+            );
+            tally.batch_planned += chunk.len() as u64;
+            tally.scratch_bytes = bp.footprint_bytes() as u64;
+            Ok(())
+        })
+    }
+
+    /// Plans one frame on the per-frame fast path. With `keys` (the
+    /// frame's fingerprint and canonical form, present iff a cache is
+    /// configured) the plan is captured and inserted into both cache tiers,
+    /// and the frame counts as a miss.
+    fn plan_one(
+        &self,
+        asg: &MulticastAssignment,
+        keys: Option<(u64, &Canonicalized)>,
+        scratch: &mut RouteScratch,
+        tally: &mut Tally,
+    ) -> Result<RoutingResult, CoreError> {
+        let n = self.net.n();
+        let wiring = self.net.wiring();
+        let timer = Some(&mut tally.timer);
+        match (self.plan_cache.as_deref(), keys) {
+            (Some(cache), Some((fp, canon))) => {
+                tally.misses += 1;
+                let mut plan = CapturedPlan::new(n)?;
+                let r = route_assignment_fast_buffered(
+                    n,
+                    wiring,
+                    asg,
+                    scratch,
+                    None,
+                    timer,
+                    Some(&mut plan),
+                );
+                if r.is_ok() {
+                    tally.evictions += insert_capture(cache, fp, asg, canon, plan);
+                }
+                r
+            }
+            _ => route_assignment_fast_buffered(n, wiring, asg, scratch, None, timer, None),
+        }
+    }
+
+    /// Replays an exact-tier hit.
+    fn replay_exact(
+        &self,
+        asg: &MulticastAssignment,
+        plan: &CapturedPlan,
+        scratch: &mut RouteScratch,
+        timer: &mut StageTimer,
+    ) -> Result<RoutingResult, CoreError> {
+        route_assignment_replay_buffered(
+            self.net.n(),
+            self.net.wiring(),
+            asg,
+            plan,
+            scratch,
+            None,
+            Some(timer),
+        )
+    }
+
+    /// Replays a canonical-tier hit through the permuted executor.
+    fn replay_canonical(
+        &self,
+        asg: &MulticastAssignment,
+        hit: &CanonicalHit,
+        scratch: &mut RouteScratch,
+        timer: &mut StageTimer,
+    ) -> Result<RoutingResult, CoreError> {
+        route_assignment_replay_permuted(
+            self.net.n(),
+            self.net.wiring(),
+            asg,
+            &hit.plan,
+            &hit.input_map,
+            &hit.output_map,
+            scratch,
+            Some(timer),
+        )
+    }
+
+    /// Routes one deferred frame through a fresh probe of the cache (which
+    /// pass B configured): exact-tier replay, then canonical-tier permuted
+    /// replay, then fresh planning with capture and two-tier insertion.
+    fn route_frame_cached(
+        &self,
+        asg: &MulticastAssignment,
+        scratch: &mut RouteScratch,
+        tally: &mut Tally,
+    ) -> Result<RoutingResult, CoreError> {
+        let cache = self
+            .plan_cache
+            .as_deref()
+            .expect("only a cache defers frames");
+        let fp = plan_fingerprint(asg);
+        if let Some(plan) = cache.lookup(fp, asg) {
+            tally.exact_hits += 1;
+            return self.replay_exact(asg, &plan, scratch, &mut tally.timer);
+        }
+        let canon = canonicalize(asg);
+        if let Some(hit) = cache.lookup_canonical(&canon) {
+            tally.canonical_hits += 1;
+            return self.replay_canonical(asg, &hit, scratch, &mut tally.timer);
+        }
+        self.plan_one(asg, Some((fp, &canon)), scratch, tally)
+    }
+
     /// Routes a batch with the **self-routing** message model (messages
-    /// reduced to `SEQ` tag streams before entering the network).
+    /// reduced to `SEQ` tag streams before entering the network). A frame
+    /// whose size is not the engine's gets [`CoreError::Config`] in its
+    /// slot, as in [`Engine::route_batch`].
     pub fn route_batch_self_routing(&self, batch: &[MulticastAssignment]) -> BatchOutput {
         self.route_batch_with(batch, |n, src, dests| {
             SelfRoutedMsg::prepare(n, src, dests)
         })
     }
 
-    /// Routes one frame, returning its result and instrumentation. Uses
-    /// intra-network parallelism if the config enables it.
+    /// Routes one frame, returning its result and instrumentation (a
+    /// one-frame [`Engine::route_batch`]).
     pub fn route_one(
         &self,
         asg: &MulticastAssignment,
@@ -1182,39 +1027,23 @@ impl Engine {
             BatchOutput {
                 results,
                 stats: EngineStats {
-                    n,
                     batch: batch.len(),
                     workers,
-                    parallel_halves: false,
                     frames_ok,
                     frames_failed,
                     frames_retried,
                     frames_degraded,
-                    stages: StageTimer::new(),
                     wall_nanos,
                     busy_nanos,
-                    fastpath_frames: 0,
-                    scratch_bytes: 0,
-                    plan_hits: 0,
-                    plan_misses: 0,
-                    plan_exact_hits: 0,
-                    plan_canonical_hits: 0,
-                    plan_evictions: 0,
-                    plan_cache_bytes: 0,
-                    plan_snapshot_loaded: 0,
-                    simd_lane_width: 0,
-                    batch_planned_frames: 0,
-                    cluster_nodes: 0,
-                    cluster_messages: 0,
-                    cluster_messages_dropped: 0,
-                    cluster_epoch: 0,
+                    ..EngineStats::empty(n)
                 },
             },
             outcomes,
         )
     }
 
-    /// Shared batch driver over any payload preparation function.
+    /// The reference-recursion batch driver over a payload preparation
+    /// function; it carries the self-routing message model.
     fn route_batch_with<P, F>(&self, batch: &[MulticastAssignment], prepare: F) -> BatchOutput
     where
         P: RoutePayload + Send,
@@ -1222,64 +1051,42 @@ impl Engine {
     {
         let n = self.net.n();
         let workers = par::effective_workers(self.cfg.workers).min(batch.len().max(1));
-        let fork_depth = if self.cfg.parallel_halves {
-            self.cfg.fork_depth
-        } else {
-            0
-        };
 
         let wall_start = Instant::now();
-        let frames = par::par_map(batch, workers, |_idx, asg| {
+        let (mut slots, _) = reject_wrong_size(n, batch);
+        let frames = par::par_map(batch, workers, |i, asg| {
+            if slots[i].is_some() {
+                return None;
+            }
             let frame_start = Instant::now();
             let mut timer = StageTimer::new();
-            let result = self.route_frame(asg, fork_depth, &mut timer, &prepare);
-            (result, timer, frame_start.elapsed().as_nanos() as u64)
+            let result = self.route_frame(asg, &mut timer, &prepare);
+            Some((result, timer, frame_start.elapsed().as_nanos() as u64))
         });
         let wall_nanos = wall_start.elapsed().as_nanos() as u64;
 
         let mut stages = StageTimer::new();
         let mut busy_nanos = 0u64;
-        let mut results = Vec::with_capacity(frames.len());
-        let (mut frames_ok, mut frames_failed) = (0usize, 0usize);
-        for (result, timer, frame_nanos) in frames {
-            stages.merge(&timer);
-            busy_nanos += frame_nanos;
-            match &result {
-                Ok(_) => frames_ok += 1,
-                Err(_) => frames_failed += 1,
+        for (slot, frame) in slots.iter_mut().zip(frames) {
+            if let Some((result, timer, frame_nanos)) = frame {
+                stages.merge(&timer);
+                busy_nanos += frame_nanos;
+                *slot = Some(result);
             }
-            results.push(result);
         }
+        let (results, frames_ok, frames_failed) = collect_results(slots);
 
         BatchOutput {
             results,
             stats: EngineStats {
-                n,
                 batch: batch.len(),
                 workers,
-                parallel_halves: fork_depth > 0,
                 frames_ok,
                 frames_failed,
-                frames_retried: 0,
-                frames_degraded: 0,
                 stages,
                 wall_nanos,
                 busy_nanos,
-                fastpath_frames: 0,
-                scratch_bytes: 0,
-                plan_hits: 0,
-                plan_misses: 0,
-                plan_exact_hits: 0,
-                plan_canonical_hits: 0,
-                plan_evictions: 0,
-                plan_cache_bytes: 0,
-                plan_snapshot_loaded: 0,
-                simd_lane_width: 0,
-                batch_planned_frames: 0,
-                cluster_nodes: 0,
-                cluster_messages: 0,
-                cluster_messages_dropped: 0,
-                cluster_epoch: 0,
+                ..EngineStats::empty(n)
             },
         }
     }
@@ -1288,7 +1095,6 @@ impl Engine {
     fn route_frame<P, F>(
         &self,
         asg: &MulticastAssignment,
-        fork_depth: usize,
         timer: &mut StageTimer,
         prepare: &F,
     ) -> Result<RoutingResult, CoreError>
@@ -1297,7 +1103,6 @@ impl Engine {
         F: Fn(usize, usize, &[usize]) -> P + Sync,
     {
         let n = self.net.n();
-        assert_eq!(asg.n(), n, "assignment size mismatch");
         let lines: Vec<Line<P>> = (0..n)
             .map(|i| {
                 let dests = asg.dests(i);
@@ -1311,10 +1116,11 @@ impl Engine {
                 }
             })
             .collect();
-        let out = route_block_timed(lines, 0, 1, fork_depth, timer)?;
+        let out = route_block_timed(lines, 0, 1, timer)?;
         crate::brsmn::extract_result(out)
     }
 }
+
 
 /// `S` independent fabrics routing stripes of one batch concurrently.
 ///
@@ -1501,15 +1307,15 @@ fn route_resilient_frame<R: ResilientRouter>(
     (Err(retry_failure), FrameOutcome::Failed)
 }
 
-/// Instrumented (and optionally halves-parallel) version of the recursive
-/// router in [`crate::brsmn`]. Produces exactly the same output lines: the
-/// two halves compute disjoint output ranges `[lo, lo+size/2)` and
-/// `[lo+size/2, lo+size)` and are concatenated in order.
-fn route_block_timed<P: RoutePayload + Send>(
+
+/// Instrumented version of the recursive router in [`crate::brsmn`].
+/// Produces exactly the same output lines: the two halves compute the
+/// disjoint output ranges `[lo, lo+size/2)` and `[lo+size/2, lo+size)`,
+/// concatenated in order.
+fn route_block_timed<P: RoutePayload>(
     lines: Vec<Line<P>>,
     lo: usize,
     level: usize,
-    fork_depth: usize,
     timer: &mut StageTimer,
 ) -> Result<Vec<Line<P>>, CoreError> {
     let size = lines.len();
@@ -1533,25 +1339,10 @@ fn route_block_timed<P: RoutePayload + Send>(
     timer.record_bsn(level, size, t0.elapsed());
 
     let lower = out.split_off(size / 2);
-    if fork_depth > 0 && size >= MIN_FORK_BLOCK {
-        let (up, (down, lower_timer)) = par::join(
-            || route_block_timed(out, lo, level + 1, fork_depth - 1, timer),
-            || {
-                let mut lt = StageTimer::new();
-                let r = route_block_timed(lower, lo + size / 2, level + 1, fork_depth - 1, &mut lt);
-                (r, lt)
-            },
-        );
-        timer.merge(&lower_timer);
-        let mut up = up?;
-        up.extend(down?);
-        Ok(up)
-    } else {
-        let mut up = route_block_timed(out, lo, level + 1, 0, timer)?;
-        let down = route_block_timed(lower, lo + size / 2, level + 1, 0, timer)?;
-        up.extend(down);
-        Ok(up)
-    }
+    let mut up = route_block_timed(out, lo, level + 1, timer)?;
+    let down = route_block_timed(lower, lo + size / 2, level + 1, timer)?;
+    up.extend(down);
+    Ok(up)
 }
 
 #[cfg(test)]
@@ -1575,15 +1366,42 @@ mod tests {
         .unwrap()
     }
 
+    /// `count` distinct single-source frames of size `n`; frame `f`'s
+    /// source sends to `f + 1` outputs, so no two share a relabeling
+    /// class.
+    fn distinct_frames(n: usize, count: usize) -> Vec<MulticastAssignment> {
+        (0..count)
+            .map(|f| {
+                let mut sets = vec![Vec::new(); n];
+                sets[f % n] = (0..=f % n).collect();
+                MulticastAssignment::from_sets(n, sets).unwrap()
+            })
+            .collect()
+    }
+
+    /// Routes every frame of `batch` as its own one-frame `route_batch`
+    /// call, merging the stats.
+    fn route_one_by_one(
+        engine: &Engine,
+        batch: &[MulticastAssignment],
+    ) -> (Vec<Result<RoutingResult, CoreError>>, EngineStats) {
+        let mut stats = EngineStats::empty(engine.n());
+        let results = batch
+            .iter()
+            .map(|asg| {
+                let (r, s) = engine.route_one(asg);
+                stats.merge(&s);
+                r
+            })
+            .collect();
+        (results, stats)
+    }
+
     #[test]
     fn engine_matches_sequential_router_on_paper_example() {
         let net = Brsmn::new(8).unwrap();
         let expect = net.route(&paper_assignment()).unwrap();
-        for cfg in [
-            EngineConfig::sequential(),
-            EngineConfig::batch(4),
-            EngineConfig::single_frame(3),
-        ] {
+        for cfg in [EngineConfig::sequential(), EngineConfig::batch(4)] {
             let engine = Engine::with_config(8, cfg).unwrap();
             let (result, stats) = engine.route_one(&paper_assignment());
             assert_eq!(result.unwrap(), expect);
@@ -1655,19 +1473,62 @@ mod tests {
     }
 
     #[test]
-    fn frame_errors_are_reported_in_place() {
-        // Frame 1 of 3 is fine; an engine over n=8 rejects an n=4 frame via
-        // the assert, so instead build a frame that fails in routing: a
-        // hand-built conflict is impossible from MulticastAssignment, so
-        // check the all-ok path plus per-frame counters only.
-        let engine = Engine::with_config(8, EngineConfig::batch(2)).unwrap();
-        let out = engine.route_batch(&vec![paper_assignment(); 3]);
-        assert_eq!(out.stats.frames_ok, 3);
-        assert_eq!(out.stats.frames_failed, 0);
+    fn wrong_size_frames_get_typed_errors_in_place() {
+        // Frames 1 and 3 of 5 have the wrong size; the rest route as if
+        // the wrong-size frames were absent, on both message models, with
+        // the cache on and off.
+        let net = Brsmn::new(8).unwrap();
+        let small = MulticastAssignment::from_sets(4, vec![vec![0, 1], vec![], vec![3], vec![]])
+            .unwrap();
+        let large = distinct_frames(16, 1).remove(0);
+        let batch = vec![
+            paper_assignment(),
+            small.clone(),
+            paper_assignment(),
+            large,
+            paper_assignment(),
+        ];
+        for cache in [0, 16] {
+            let engine =
+                Engine::with_config(8, EngineConfig::sequential().with_plan_cache(cache)).unwrap();
+            for out in [
+                engine.route_batch(&batch),
+                engine.route_batch_self_routing(&batch),
+            ] {
+                assert_eq!(out.results.len(), 5);
+                for i in [1, 3] {
+                    assert!(
+                        matches!(out.results[i], Err(CoreError::Config(_))),
+                        "cache {cache}: frame {i} gave {:?}",
+                        out.results[i]
+                    );
+                }
+                for i in [0, 2, 4] {
+                    assert_eq!(
+                        out.results[i].as_ref().unwrap(),
+                        &net.route(&paper_assignment()).unwrap()
+                    );
+                }
+                assert_eq!(out.stats.frames_ok, 3);
+                assert_eq!(out.stats.frames_failed, 2);
+            }
+            if let Some(cache) = engine.plan_cache() {
+                // No wrong-size frame reached the cache: the one resident
+                // plan is the paper example's.
+                assert_eq!(cache.len(), 1);
+            }
+        }
+        // A batch of nothing but wrong-size frames routes nothing.
+        let engine = Engine::with_config(8, EngineConfig::batch(2).with_plan_cache(16)).unwrap();
+        let out = engine.route_batch(&[small.clone(), small]);
+        assert!(out.results.iter().all(|r| matches!(r, Err(CoreError::Config(_)))));
+        assert_eq!(out.stats.fastpath_frames, 0);
+        assert_eq!(out.stats.plan_misses, 0);
+        assert_eq!(engine.plan_cache().unwrap().len(), 0);
     }
 
     #[test]
-    fn no_scratch_config_matches_fast_path() {
+    fn route_batch_matches_reference_router() {
         let n = 16;
         let batch: Vec<MulticastAssignment> = (0..12)
             .map(|f| {
@@ -1676,24 +1537,24 @@ mod tests {
                 MulticastAssignment::from_sets(n, sets).unwrap()
             })
             .collect();
-        let fast = Engine::with_config(n, EngineConfig::sequential()).unwrap();
-        let slow =
-            Engine::with_config(n, EngineConfig::sequential().without_scratch()).unwrap();
-        let a = fast.route_batch(&batch);
-        let b = slow.route_batch(&batch);
-        for (x, y) in a.results.iter().zip(&b.results) {
-            assert_eq!(x.as_ref().unwrap(), y.as_ref().unwrap());
+        let net = Brsmn::new(n).unwrap();
+        let engine = Engine::with_config(n, EngineConfig::sequential()).unwrap();
+        let out = engine.route_batch(&batch);
+        for (asg, got) in batch.iter().zip(&out.results) {
+            assert_eq!(got.as_ref().unwrap(), &net.route_reference(asg).unwrap());
         }
-        // The two drivers record identical work counters.
+        // The instrumented reference recursion (the self-routing model's
+        // driver) records identical work counters.
+        let slf = engine.route_batch_self_routing(&batch);
         assert_eq!(
-            a.stats.stages.switch_settings,
-            b.stats.stages.switch_settings
+            out.stats.stages.switch_settings,
+            slf.stats.stages.switch_settings
         );
-        assert_eq!(a.stats.stages.sweep_passes, b.stats.stages.sweep_passes);
-        assert_eq!(a.stats.fastpath_frames, batch.len() as u64);
-        assert!(a.stats.scratch_bytes > 0);
-        assert_eq!(b.stats.fastpath_frames, 0);
-        assert_eq!(b.stats.scratch_bytes, 0);
+        assert_eq!(out.stats.stages.sweep_passes, slf.stats.stages.sweep_passes);
+        assert_eq!(out.stats.fastpath_frames, batch.len() as u64);
+        assert!(out.stats.scratch_bytes > 0);
+        assert_eq!(slf.stats.fastpath_frames, 0);
+        assert_eq!(slf.stats.scratch_bytes, 0);
     }
 
     #[test]
@@ -1764,7 +1625,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_plan_matches_per_frame_driver_and_counts() {
+    fn batched_driver_matches_one_frame_calls_and_counts() {
         let n = 16;
         // 4 distinct shapes cycled over 20 frames: duplicates exercise the
         // claim-and-defer pass, distinct frames the SoA chunks.
@@ -1777,41 +1638,84 @@ mod tests {
             .collect();
         let batch: Vec<MulticastAssignment> = (0..20).map(|i| distinct[i % 4].clone()).collect();
 
-        let batched = Engine::with_config(n, EngineConfig::sequential()).unwrap();
-        let per_frame =
-            Engine::with_config(n, EngineConfig::sequential().without_batch_plan()).unwrap();
-        let a = batched.route_batch(&batch);
-        let b = per_frame.route_batch(&batch);
-        for (x, y) in a.results.iter().zip(&b.results) {
-            assert_eq!(x.as_ref().unwrap(), y.as_ref().unwrap());
+        for cache in [0, 64] {
+            let cfg = EngineConfig::sequential().with_plan_cache(cache);
+            let batched = Engine::with_config(n, cfg).unwrap();
+            let one_by_one = Engine::with_config(n, cfg).unwrap();
+            let a = batched.route_batch(&batch);
+            let (b_results, b) = route_one_by_one(&one_by_one, &batch);
+            for (x, y) in a.results.iter().zip(&b_results) {
+                assert_eq!(x.as_ref().unwrap(), y.as_ref().unwrap());
+            }
+            // Same work, different schedule: identical counters either way.
+            assert_eq!(a.stats.plan_hits, b.plan_hits);
+            assert_eq!(a.stats.plan_canonical_hits, b.plan_canonical_hits);
+            assert_eq!(a.stats.plan_misses, b.plan_misses);
+            assert_eq!(a.stats.stages.switch_settings, b.stages.switch_settings);
+            assert_eq!(a.stats.stages.sweep_passes, b.stages.sweep_passes);
+            // One-frame calls never fill a lockstep chunk.
+            assert_eq!(b.batch_planned_frames, 0);
+            assert_eq!(a.stats.simd_lane_width, brsmn_rbn::LANES as u64);
+            if cache == 0 {
+                // Without a cache every frame of the batch plans in one
+                // 20-frame SoA chunk.
+                assert_eq!(a.stats.batch_planned_frames, 20);
+            } else {
+                // With a cache only the 4 misses plan — a chunk narrower
+                // than MIN_SOA_CHUNK plans per frame — and hits replay.
+                assert_eq!(a.stats.plan_misses, 4);
+                assert_eq!(
+                    a.stats.batch_planned_frames,
+                    if 4 >= MIN_SOA_CHUNK { 4 } else { 0 }
+                );
+                let warm = batched.route_batch(&batch);
+                assert_eq!(warm.stats.plan_hits, 20);
+                assert_eq!(warm.stats.batch_planned_frames, 0);
+            }
         }
-        // Same work, different schedule: identical stage counters either way.
-        assert_eq!(
-            a.stats.stages.switch_settings,
-            b.stats.stages.switch_settings
-        );
-        assert_eq!(a.stats.stages.sweep_passes, b.stats.stages.sweep_passes);
-        // Without a cache every frame of the batch plans in an SoA chunk.
-        assert_eq!(a.stats.batch_planned_frames, 20);
-        assert_eq!(b.stats.batch_planned_frames, 0);
-        assert_eq!(a.stats.simd_lane_width, brsmn_rbn::LANES as u64);
-        assert_eq!(b.stats.simd_lane_width, brsmn_rbn::LANES as u64);
-        // The reference path reports no lane width at all.
-        let reference =
-            Engine::with_config(n, EngineConfig::sequential().without_scratch()).unwrap();
-        let c = reference.route_batch(&batch);
+        // The reference recursion (self-routing model) reports no lane
+        // width at all.
+        let engine = Engine::with_config(n, EngineConfig::sequential()).unwrap();
+        let c = engine.route_batch_self_routing(&batch);
         assert_eq!(c.stats.simd_lane_width, 0);
         assert_eq!(c.stats.batch_planned_frames, 0);
+    }
 
-        // With a cache, only the misses are batch-planned — hits replay.
+    #[test]
+    fn only_chunks_of_min_soa_chunk_frames_plan_in_lockstep() {
+        let n = 32;
+        let frames = distinct_frames(n, 2 * MIN_SOA_CHUNK + 8);
+        assert!(frames.len() <= n, "frames share relabeling classes");
+        let net = Brsmn::new(n).unwrap();
+        let check = |engine: &Engine, batch: &[MulticastAssignment], want_planned: usize| {
+            let out = engine.route_batch(batch);
+            for (asg, got) in batch.iter().zip(&out.results) {
+                assert_eq!(got.as_ref().unwrap(), &net.route(asg).unwrap());
+            }
+            assert_eq!(
+                out.stats.batch_planned_frames, want_planned as u64,
+                "{} frames on {} worker(s)",
+                batch.len(),
+                out.stats.workers
+            );
+        };
+        let sequential = Engine::with_config(n, EngineConfig::sequential()).unwrap();
+        // One worker: the whole batch is one chunk.
+        check(&sequential, &frames[..MIN_SOA_CHUNK - 1], 0);
+        check(&sequential, &frames[..MIN_SOA_CHUNK], MIN_SOA_CHUNK);
+        // Two workers, 2·MIN_SOA_CHUNK − 1 misses: one chunk of exactly
+        // MIN_SOA_CHUNK frames plans in lockstep, the other per frame.
+        let two = Engine::with_config(n, EngineConfig::batch(2)).unwrap();
+        check(&two, &frames[..2 * MIN_SOA_CHUNK - 1], MIN_SOA_CHUNK);
+        // With a cache, hits leave the chunks: warm all but MIN_SOA_CHUNK − 1
+        // frames, then only the narrow chunk of cold ones plans (per frame).
         let cached =
             Engine::with_config(n, EngineConfig::sequential().with_plan_cache(64)).unwrap();
-        let cold = cached.route_batch(&batch);
-        assert_eq!(cold.stats.plan_misses, 4);
-        assert_eq!(cold.stats.batch_planned_frames, 4);
-        let warm = cached.route_batch(&batch);
-        assert_eq!(warm.stats.plan_hits, 20);
-        assert_eq!(warm.stats.batch_planned_frames, 0);
+        let cold = MIN_SOA_CHUNK - 1;
+        check(&cached, &frames[cold..], frames.len() - cold);
+        let out = cached.route_batch(&frames);
+        assert_eq!(out.stats.plan_misses, cold as u64);
+        assert_eq!(out.stats.batch_planned_frames, 0);
     }
 
     #[test]
@@ -1836,19 +1740,5 @@ mod tests {
         let again = sharded.route_batch(&batch);
         assert_eq!(again.stats.plan_hits, 16);
         assert_eq!(again.stats.plan_misses, 0);
-    }
-
-    #[test]
-    fn parallel_halves_match_sequential_at_n64() {
-        let n = 64;
-        let mut sets = vec![Vec::new(); n];
-        sets[0] = (0..n).collect(); // full broadcast exercises every split
-        sets[1] = vec![]; // idle
-        let asg = MulticastAssignment::from_sets(n, sets).unwrap();
-        let seq = Engine::with_config(n, EngineConfig::sequential()).unwrap();
-        let par = Engine::with_config(n, EngineConfig::single_frame(4)).unwrap();
-        let (a, _) = seq.route_one(&asg);
-        let (b, _) = par.route_one(&asg);
-        assert_eq!(a.unwrap(), b.unwrap());
     }
 }

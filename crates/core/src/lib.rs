@@ -81,7 +81,7 @@ pub mod verify;
 pub use algebra::{idle_outputs, relabel_inputs, relabel_outputs, restrict, union};
 pub use assignment::{AssignmentError, MulticastAssignment, RoutingResult};
 pub use backend::{ReferenceRouter, RouterBackend};
-pub use batch::{with_thread_batch_planner, BatchPlanner, MAX_BATCH_FRAMES};
+pub use batch::{with_thread_batch_planner, BatchPlanner, MAX_BATCH_FRAMES, MIN_SOA_CHUNK};
 pub use brsmn::{Brsmn, LevelTrace, RouteTrace};
 pub use bsn::{Bsn, BsnTrace};
 pub use canonical::{canonicalize, invert_permutation, Canonicalized};

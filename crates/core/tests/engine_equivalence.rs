@@ -50,13 +50,6 @@ proptest! {
         }
         prop_assert_eq!(out.stats.frames_ok, batch.len());
         prop_assert_eq!(out.stats.frames_failed, 0);
-
-        // Intra-network parallelism (concurrent halves) per frame.
-        let forked = Engine::with_config(n, EngineConfig::single_frame(3)).unwrap();
-        for (asg, want) in batch.iter().zip(&reference) {
-            let (got, _) = forked.route_one(asg);
-            prop_assert_eq!(&got.unwrap(), want);
-        }
     }
 
     #[test]

@@ -571,8 +571,8 @@ pub struct ServeReport {
     /// plane sweeps ran on (0 with a non-fast-path backend).
     pub simd_lane_width: u64,
     /// Served requests planned in lockstep SoA batches by the engine's
-    /// `BatchPlanner` (cache misses grouped per round; 0 with
-    /// `--no-batch-plan` or a non-BRSMN backend).
+    /// `BatchPlanner`: the cache misses of a round that fell in a chunk of
+    /// at least `MIN_SOA_CHUNK` frames (0 with a non-BRSMN backend).
     pub batch_planned_frames: u64,
     /// Order-independent FNV digest over every served request's (id,
     /// delivered source table): two runs of the same trace are bit-identical
